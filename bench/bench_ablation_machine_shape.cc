@@ -11,8 +11,7 @@
  * WorkloadCache view, so the stream is synthesized once and the
  * packed brick planes and memoized schedule-cycle planes are reused
  * across every machine shape (they depend only on the stream, not on
- * the machine). Output is byte-identical to the direct-simulator
- * harness this bench replaced.
+ * the machine).
  */
 
 #include <cstdio>

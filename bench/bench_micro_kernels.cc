@@ -239,9 +239,9 @@ BENCHMARK(BM_WeightPlanesBuild);
 
 /**
  * One pallet-sync layer, first-stage width from the range argument:
- * the tensor path rederives every brick schedule, the workload path
- * serves term counts and L=0/L=4 schedule lengths from the shared
- * planes.
+ * a tensor caller wraps its stream in a fresh, uncached workload per
+ * call (paying the plane builds each time), while the workload path
+ * serves term counts and schedule lengths from planes built once.
  */
 void
 BM_PalletSyncLayerTensor(benchmark::State &state)
@@ -253,8 +253,8 @@ BM_PalletSyncLayerTensor(benchmark::State &state)
     tile.firstStageBits = static_cast<int>(state.range(0));
     for (auto _ : state)
         benchmark::DoNotOptimize(models::simulateLayerPalletSync(
-            net.layers[2], tensor, sim::AccelConfig{}, tile,
-            sim::SampleSpec{16}));
+            net.layers[2], sim::LayerWorkload(tensor), sim::AccelConfig{},
+            tile, sim::SampleSpec{16}, util::InnerExecutor()));
 }
 BENCHMARK(BM_PalletSyncLayerTensor)->DenseRange(0, 4, 2);
 

@@ -17,7 +17,8 @@ int
 main(int, char **)
 {
     std::printf("== Area and power, pallet synchronization ==\n"
-                "(reproduces Table III; see EXPERIMENTS.md)\n\n");
+                "(reproduces Table III; see docs/ARCHITECTURE.md, "
+                "\"Calibrated substrates\")\n\n");
 
     util::TextTable table({"design", "Area U.", "dArea U.", "Area T.",
                            "dArea T.", "Power T.", "dPower T.",

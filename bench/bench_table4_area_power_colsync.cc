@@ -15,7 +15,8 @@ int
 main(int, char **)
 {
     std::printf("== Area and power, column synchronization, PRA-2b ==\n"
-                "(reproduces Table IV; see EXPERIMENTS.md)\n\n");
+                "(reproduces Table IV; see docs/ARCHITECTURE.md, "
+                "\"Calibrated substrates\")\n\n");
 
     energy::AreaPower ddn = energy::dadnAreaPower();
     util::TextTable table({"design", "Area U.", "dArea U.", "Area T.",

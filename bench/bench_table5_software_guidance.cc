@@ -8,8 +8,9 @@
 #include <cstdio>
 
 #include "bench/common.h"
+#include "dnn/activation_synth.h"
 #include "models/dadn/dadn.h"
-#include "models/pragmatic/simulator.h"
+#include "models/engines.h"
 #include "sim/layer_result.h"
 #include "util/table.h"
 
@@ -23,25 +24,25 @@ main(int argc, char **argv)
                   "Table V");
 
     models::DadnModel dadn;
-    models::PragmaticSimulator prag;
-    models::SimOptions sim_opt;
-    sim_opt.sample = opt.sample;
-    sim_opt.seed = opt.seed;
+    auto trimmed = models::builtinEngines().create(
+        "pragmatic-col", {{"bits", "2"}, {"ssr", "1"}});
+    auto raw = models::builtinEngines().create(
+        "pragmatic-col", {{"bits", "2"}, {"ssr", "1"}, {"trim", "0"}});
 
     util::TextTable table({"network", "with trim", "without", "benefit",
                            "paper"});
     double sum = 0.0;
     for (const auto &net : opt.networks) {
         double base = dadn.run(net).totalCycles();
-        models::PragmaticConfig config;
-        config.firstStageBits = 2;
-        config.sync = models::SyncScheme::PerColumn;
-        config.ssrCount = 1;
-        double with =
-            base / prag.run(net, config, sim_opt).totalCycles();
-        config.softwareTrim = false;
-        double without =
-            base / prag.run(net, config, sim_opt).totalCycles();
+        dnn::ActivationSynthesizer synth(net, opt.seed);
+        auto speedup = [&](const sim::Engine &engine) {
+            return base / engine
+                              .runNetwork(net, synth, sim::AccelConfig{},
+                                          opt.sample)
+                              .totalCycles();
+        };
+        double with = speedup(*trimmed);
+        double without = speedup(*raw);
         double benefit = with / without - 1.0;
         sum += benefit;
         table.addRow({net.name, util::formatDouble(with),

@@ -274,7 +274,8 @@ struct BenchOptions
 inline void
 banner(const std::string &title, const std::string &paper_ref)
 {
-    std::printf("== %s ==\n(reproduces %s; see EXPERIMENTS.md)\n\n",
+    std::printf("== %s ==\n(reproduces %s; see docs/ARCHITECTURE.md)"
+                "\n\n",
                 title.c_str(), paper_ref.c_str());
 }
 

@@ -13,9 +13,10 @@
 #include <fstream>
 #include <iostream>
 
+#include "dnn/activation_synth.h"
 #include "dnn/model_zoo.h"
 #include "models/dadn/dadn.h"
-#include "models/pragmatic/simulator.h"
+#include "models/engines.h"
 #include "models/stripes/stripes.h"
 #include "sim/layer_result.h"
 #include "util/args.h"
@@ -31,22 +32,21 @@ main(int argc, char **argv)
     args.checkUnknown({"network", "full", "units", "csv"});
     dnn::Network net =
         dnn::makeNetworkByName(args.getString("network", "alexnet"));
-    models::SimOptions opt;
-    opt.sample.maxUnits =
-        args.getBool("full") ? 0 : args.getInt("units", 64);
+    sim::SampleSpec sample{
+        args.getBool("full") ? 0 : args.getInt("units", 64)};
 
     models::DadnModel dadn;
     models::StripesModel stripes;
-    models::PragmaticSimulator prag;
+    dnn::ActivationSynthesizer synth(net);
+    auto run = [&](const sim::EngineSelection &sel) {
+        return models::builtinEngines().create(sel)->runNetwork(
+            net, synth, sim::AccelConfig{}, sample);
+    };
 
     auto base = dadn.run(net);
     auto str = stripes.run(net);
-    models::PragmaticConfig pallet;
-    auto pra = prag.run(net, pallet, opt);
-    models::PragmaticConfig column = pallet;
-    column.sync = models::SyncScheme::PerColumn;
-    column.ssrCount = 1;
-    auto col = prag.run(net, column, opt);
+    auto pra = run({"pragmatic", {}});
+    auto col = run({"pragmatic-col", {{"ssr", "1"}}});
 
     util::TextTable table({"layer", "DaDN cyc", "STR x", "PRA-2b x",
                            "PRA-2b-1R x", "NM stalls"});

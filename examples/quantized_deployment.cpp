@@ -17,7 +17,7 @@
 #include "fixedpoint/fixed_point.h"
 #include "fixedpoint/quantization.h"
 #include "models/dadn/dadn.h"
-#include "models/pragmatic/simulator.h"
+#include "models/engines.h"
 #include "util/args.h"
 #include "util/random.h"
 #include "util/table.h"
@@ -59,7 +59,6 @@ main(int argc, char **argv)
 
     // 2. Essential-bit content of the calibrated 8-bit code streams.
     dnn::ActivationSynthesizer synth(net);
-    std::vector<uint16_t> sample;
     auto t = synth.synthesizeQuant8(1);
     std::printf("%s layer-1 code stream: %.1f%% zero codes, "
                 "%.1f%% essential bits over non-zero codes\n\n",
@@ -69,25 +68,25 @@ main(int argc, char **argv)
                             t.flat(), 8));
 
     // 3. Performance with the quantized representation.
-    models::SimOptions opt;
-    opt.sample.maxUnits =
-        args.getBool("full") ? 0 : args.getInt("units", 48);
+    sim::SampleSpec sample{
+        args.getBool("full") ? 0 : args.getInt("units", 48)};
     models::DadnModel dadn;
-    models::PragmaticSimulator prag;
     double base = dadn.run(net).totalCycles();
 
     util::TextTable table({"design", "speedup vs 8-bit DaDN"});
-    for (auto [label, sync, ssrs] :
-         {std::tuple{"PRA-2b pallet", models::SyncScheme::Pallet, 1},
-          std::tuple{"PRA-2b-1R", models::SyncScheme::PerColumn, 1},
-          std::tuple{"PRA-2b-ideal", models::SyncScheme::PerColumn,
-                     0}}) {
-        models::PragmaticConfig config;
-        config.firstStageBits = 2;
-        config.sync = sync;
-        config.ssrCount = ssrs;
-        config.representation = models::Representation::Quant8;
-        double s = base / prag.run(net, config, opt).totalCycles();
+    const std::pair<const char *, sim::EngineSelection> designs[] = {
+        {"PRA-2b pallet", {"pragmatic", {{"repr", "quant8"}}}},
+        {"PRA-2b-1R",
+         {"pragmatic-col", {{"repr", "quant8"}, {"ssr", "1"}}}},
+        {"PRA-2b-ideal",
+         {"pragmatic-col", {{"repr", "quant8"}, {"ssr", "0"}}}},
+    };
+    for (const auto &[label, sel] : designs) {
+        double s = base / models::builtinEngines()
+                              .create(sel)
+                              ->runNetwork(net, synth, sim::AccelConfig{},
+                                           sample)
+                              .totalCycles();
         table.addRow({label, util::formatDouble(s)});
     }
     std::printf("%s\n", table.render().c_str());

@@ -13,8 +13,8 @@
 #include "dnn/model_zoo.h"
 #include "dnn/reference.h"
 #include "models/dadn/dadn.h"
+#include "models/engines.h"
 #include "models/pragmatic/pip.h"
-#include "models/pragmatic/simulator.h"
 #include "models/stripes/stripes.h"
 #include "sim/tiling.h"
 #include "util/args.h"
@@ -80,18 +80,20 @@ main(int argc, char **argv)
     // 3. Cycle-level comparison on the whole layer.
     models::DadnModel dadn(accel);
     models::StripesModel stripes(accel);
-    models::PragmaticSimulator prag(accel);
     double base = dadn.layerCycles(layer);
     double str = stripes.layerCycles(layer, layer.profiledPrecision);
 
-    models::PragmaticConfig pallet;
+    sim::LayerWorkload workload(input);
     sim::SampleSpec sample{256};
-    double pra =
-        prag.runLayer(layer, input, pallet, sample).cycles;
-    models::PragmaticConfig column = pallet;
-    column.sync = models::SyncScheme::PerColumn;
-    column.ssrCount = 1;
-    double col = prag.runLayer(layer, input, column, sample).cycles;
+    auto cycles = [&](const sim::EngineSelection &sel) {
+        return models::builtinEngines()
+            .create(sel)
+            ->simulateLayer(layer, workload, accel, sample,
+                            util::InnerExecutor())
+            .cycles;
+    };
+    double pra = cycles({"pragmatic", {}});
+    double col = cycles({"pragmatic-col", {{"ssr", "1"}}});
 
     std::printf("Layer execution time (cycles, lower is better):\n");
     std::printf("  DaDianNao          %12.0f   1.00x\n", base);
@@ -101,5 +103,5 @@ main(int argc, char **argv)
                 base / pra);
     std::printf("  Pragmatic 2b-1R    %12.0f   %.2fx\n", col,
                 base / col);
-    return 0;
+    return pra_sum == golden ? 0 : 1;
 }

@@ -3,7 +3,8 @@
  * A network: the ordered layers the accelerators run — convolutional
  * and fully-connected, each a LayerSpec with a kind — plus the
  * published per-network neuron-stream statistics used to calibrate
- * the synthetic activation generator (see DESIGN.md §3).
+ * the synthetic activation generator (see docs/ARCHITECTURE.md,
+ * "Calibrated substrates").
  */
 
 #pragma once

@@ -6,7 +6,8 @@
  * The paper obtains area and power from Synopsys Design Compiler
  * synthesis on TSMC 65 nm plus CACTI/Destiny for the memories. That
  * flow is not reproducible offline, so this module is calibrated to
- * the paper's published component totals (see DESIGN.md §3):
+ * the paper's published component totals (see docs/ARCHITECTURE.md,
+ * "Calibrated substrates"):
  *
  *  - the published per-design unit areas and chip powers are the
  *    model's anchor points;
@@ -44,7 +45,8 @@ double memoryArea();
 
 /**
  * Fraction of DaDN's chip power attributed to the memory blocks;
- * a calibration constant documented in DESIGN.md.
+ * a calibration constant (docs/ARCHITECTURE.md, "Calibrated
+ * substrates").
  */
 double memoryPowerShare();
 

@@ -1,10 +1,6 @@
 #include "models/analytic/term_count.h"
 
-#include <bit>
-
-#include "fixedpoint/fixed_point.h"
 #include "util/check.h"
-#include "util/logging.h"
 
 namespace pra {
 namespace models {
@@ -22,48 +18,13 @@ struct WindowStats
 
 /**
  * Accumulate the stats of the window at output position (wx, wy):
- * each of its Fx*Fy*I input neurons is used once per filter.
+ * each of its Fx*Fy*I input neurons is used once per filter. Whole
+ * bricks are summed from the precomputed planes (padding bricks
+ * count as elements only).
  */
 WindowStats
-windowStats(const dnn::LayerSpec &layer, const dnn::NeuronTensor &raw,
-            const dnn::NeuronTensor *trimmed, int wx, int wy)
-{
-    WindowStats stats;
-    int base_x = wx * layer.stride - layer.pad;
-    int base_y = wy * layer.stride - layer.pad;
-    for (int fy = 0; fy < layer.filterY; fy++) {
-        int y = base_y + fy;
-        for (int fx = 0; fx < layer.filterX; fx++) {
-            int x = base_x + fx;
-            bool padding = x < 0 || x >= layer.inputX || y < 0 ||
-                           y >= layer.inputY;
-            for (int i = 0; i < layer.inputChannels; i++) {
-                stats.elements++;
-                if (padding)
-                    continue;
-                uint16_t v = raw.at(x, y, i);
-                if (v == 0)
-                    continue;
-                stats.nonZero++;
-                stats.popRaw += std::popcount(v);
-                if (trimmed)
-                    stats.popTrimmed +=
-                        std::popcount(trimmed->at(x, y, i));
-            }
-        }
-    }
-    return stats;
-}
-
-/**
- * The same accumulation as windowStats, but summing whole bricks from
- * the precomputed planes (identical integers, ~kBrickSize fewer
- * iterations).
- */
-WindowStats
-planeWindowStats(const dnn::LayerSpec &layer,
-                 const sim::BrickPlanes &raw,
-                 const sim::BrickPlanes &trimmed, int wx, int wy)
+windowStats(const dnn::LayerSpec &layer, const sim::BrickPlanes &raw,
+            const sim::BrickPlanes &trimmed, int wx, int wy)
 {
     WindowStats stats;
     int base_x = wx * layer.stride - layer.pad;
@@ -120,27 +81,6 @@ scaleCounts(LayerTermCounts &counts, double scale)
 
 LayerTermCounts
 countLayerTerms16(const dnn::LayerSpec &layer,
-                  const dnn::NeuronTensor &raw,
-                  const dnn::NeuronTensor &trimmed,
-                  bool is_first_layer, const sim::SampleSpec &sample)
-{
-    sim::SamplePlan plan = sim::planSample(layer.windows(), sample);
-    PRA_CHECK(!plan.indices.empty(),
-                         "countLayerTerms16: no windows");
-
-    LayerTermCounts counts;
-    for (int64_t w : plan.indices) {
-        int wx = static_cast<int>(w % layer.outX());
-        int wy = static_cast<int>(w / layer.outX());
-        WindowStats stats = windowStats(layer, raw, &trimmed, wx, wy);
-        addWindowCounts(counts, layer, stats, is_first_layer);
-    }
-    scaleCounts(counts, plan.scale);
-    return counts;
-}
-
-LayerTermCounts
-countLayerTerms16(const dnn::LayerSpec &layer,
                   const sim::LayerWorkload &raw,
                   const sim::LayerWorkload &trimmed,
                   bool is_first_layer, const sim::SampleSpec &sample)
@@ -155,8 +95,8 @@ countLayerTerms16(const dnn::LayerSpec &layer,
     for (int64_t w : plan.indices) {
         int wx = static_cast<int>(w % layer.outX());
         int wy = static_cast<int>(w / layer.outX());
-        WindowStats stats = planeWindowStats(layer, raw_planes,
-                                             trimmed_planes, wx, wy);
+        WindowStats stats =
+            windowStats(layer, raw_planes, trimmed_planes, wx, wy);
         addWindowCounts(counts, layer, stats, is_first_layer);
     }
     scaleCounts(counts, plan.scale);
@@ -172,10 +112,10 @@ countNetworkTerms16(const dnn::Network &network,
     for (size_t i = 0; i < network.layers.size(); i++) {
         if (!network.layers[i].priced())
             continue; // Structural pools contribute no terms.
-        dnn::NeuronTensor raw =
-            synth.synthesizeFixed16(static_cast<int>(i));
-        dnn::NeuronTensor trimmed =
-            synth.synthesizeFixed16Trimmed(static_cast<int>(i));
+        sim::LayerWorkload raw(
+            synth.synthesizeFixed16(static_cast<int>(i)));
+        sim::LayerWorkload trimmed(
+            synth.synthesizeFixed16Trimmed(static_cast<int>(i)));
         LayerTermCounts c = countLayerTerms16(network.layers[i], raw,
                                               trimmed, i == 0, sample);
         totals.dadn += c.dadn;
@@ -208,15 +148,16 @@ countNetworkTerms8(const dnn::Network &network,
         const auto &layer = network.layers[i];
         if (!layer.priced())
             continue; // Structural pools contribute no terms.
-        dnn::NeuronTensor codes =
-            synth.synthesizeQuant8(static_cast<int>(i));
+        sim::LayerWorkload codes(
+            synth.synthesizeQuant8(static_cast<int>(i)));
+        const sim::BrickPlanes &planes = codes.brickPlanes();
         sim::SamplePlan plan = sim::planSample(layer.windows(), sample);
         double filters = static_cast<double>(layer.numFilters);
         for (int64_t w : plan.indices) {
             int wx = static_cast<int>(w % layer.outX());
             int wy = static_cast<int>(w / layer.outX());
-            WindowStats stats =
-                windowStats(layer, codes, nullptr, wx, wy);
+            // No trimmed stream: popTrimmed is never read here.
+            WindowStats stats = windowStats(layer, planes, planes, wx, wy);
             baseline += plan.scale * 8.0 * stats.elements * filters;
             zero_skip += plan.scale * 8.0 * stats.nonZero * filters;
             pra += plan.scale * static_cast<double>(stats.popRaw) *

@@ -23,7 +23,6 @@
 #include "dnn/activation_synth.h"
 #include "dnn/layer_spec.h"
 #include "dnn/network.h"
-#include "dnn/tensor.h"
 #include "sim/sampling.h"
 #include "sim/workload_cache.h"
 
@@ -42,24 +41,14 @@ struct LayerTermCounts
 };
 
 /**
- * Count terms for one 16-bit fixed-point layer.
+ * Count terms for one 16-bit fixed-point layer, brick-at-a-time from
+ * the workloads' per-brick term planes.
  *
  * @param layer    geometry and profiled precision.
  * @param raw      untrimmed input neurons.
  * @param trimmed  the same neurons after Section V-F masking.
  * @param is_first_layer CVN cannot skip zeros in the first layer.
  * @param sample   window sampling policy (unit = window).
- */
-LayerTermCounts
-countLayerTerms16(const dnn::LayerSpec &layer,
-                  const dnn::NeuronTensor &raw,
-                  const dnn::NeuronTensor &trimmed,
-                  bool is_first_layer, const sim::SampleSpec &sample);
-
-/**
- * Workload-view variant: identical counts, accumulated brick-at-a-
- * time from the precomputed per-brick term planes instead of element
- * by element.
  */
 LayerTermCounts
 countLayerTerms16(const dnn::LayerSpec &layer,

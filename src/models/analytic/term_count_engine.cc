@@ -98,24 +98,17 @@ TermCountEngine::resultFromCounts(const dnn::LayerSpec &layer,
 }
 
 sim::LayerResult
-TermCountEngine::layerTerms(const dnn::LayerSpec &layer,
-                            const dnn::NeuronTensor &raw,
-                            bool is_first_layer,
-                            const sim::SampleSpec &sample) const
-{
-    return resultFromCounts(
-        layer, countLayerTerms16(layer, raw, trimStream(layer, raw),
-                                 is_first_layer, sample));
-}
-
-sim::LayerResult
 TermCountEngine::simulateLayer(const dnn::LayerSpec &layer,
-                               const dnn::NeuronTensor &input,
+                               const sim::LayerWorkload &workload,
                                const sim::AccelConfig &accel,
-                               const sim::SampleSpec &sample) const
+                               const sim::SampleSpec &sample,
+                               const util::InnerExecutor &exec) const
 {
     (void)accel; // Term counts are machine-shape independent.
-    return layerTerms(layer, input, false, sample);
+    (void)exec;
+    sim::LayerWorkload trimmed(trimStream(layer, workload.tensor()));
+    return resultFromCounts(
+        layer, countLayerTerms16(layer, workload, trimmed, false, sample));
 }
 
 sim::NetworkResult
@@ -136,7 +129,7 @@ TermCountEngine::runNetwork(const dnn::Network &network,
         if (!network.layers[i].priced())
             continue;
         // The trimmed view is the synthesizer's own trimmed stream —
-        // bit-identical to masking the raw one (see layerTerms) and
+        // bit-identical to masking the raw one (see simulateLayer) and
         // shared with every other consumer through the cache.
         std::shared_ptr<const sim::LayerWorkload> raw = source.layer(
             static_cast<int>(i), sim::InputStream::Fixed16Raw);

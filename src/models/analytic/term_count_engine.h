@@ -47,16 +47,18 @@ class TermCountEngine : public sim::Engine
 
     /**
      * Term counts of one layer. The trimmed stream is derived from
-     * @p input by the layer's precision-window mask — bit-identical
-     * to ActivationSynthesizer::synthesizeFixed16Trimmed(). The
+     * the workload's raw stream by the layer's precision-window mask
+     * — bit-identical to
+     * ActivationSynthesizer::synthesizeFixed16Trimmed(). The
      * first-layer CVN rule needs network context, so this treats the
      * layer as non-first; runNetwork() applies the rule.
      */
     sim::LayerResult
     simulateLayer(const dnn::LayerSpec &layer,
-                  const dnn::NeuronTensor &input,
+                  const sim::LayerWorkload &workload,
                   const sim::AccelConfig &accel,
-                  const sim::SampleSpec &sample) const override;
+                  const sim::SampleSpec &sample,
+                  const util::InnerExecutor &exec) const override;
 
     /**
      * Layer loop honoring the first-layer CVN rule, consuming the
@@ -76,11 +78,6 @@ class TermCountEngine : public sim::Engine
 
   private:
     Series series_ = Series::PraTrimmed;
-
-    sim::LayerResult layerTerms(const dnn::LayerSpec &layer,
-                                const dnn::NeuronTensor &raw,
-                                bool is_first_layer,
-                                const sim::SampleSpec &sample) const;
 
     sim::LayerResult resultFromCounts(const dnn::LayerSpec &layer,
                                       const LayerTermCounts &counts) const;

@@ -103,14 +103,15 @@ layerWideResult(const dnn::LayerSpec &layer,
     return StripesModel(accel).layerResult(layer, precision);
 }
 
+} // namespace
+
 sim::LayerResult
-simulateImpl(const dnn::LayerSpec &layer,
-             const dnn::NeuronTensor &input,
-             const sim::LayerWorkload *workload,
-             const sim::AccelConfig &accel,
-             const DynamicStripesConfig &config,
-             const sim::SampleSpec &sample,
-             const util::InnerExecutor &exec)
+simulateLayerDynamicStripes(const dnn::LayerSpec &layer,
+                            const sim::LayerWorkload &workload,
+                            const sim::AccelConfig &accel,
+                            const DynamicStripesConfig &config,
+                            const sim::SampleSpec &sample,
+                            const util::InnerExecutor &exec)
 {
     if (config.layerWide)
         return layerWideResult(layer, accel, config);
@@ -133,24 +134,14 @@ simulateImpl(const dnn::LayerSpec &layer,
 
     // The detector input: the raw stream, or its Diffy difference.
     // Diffy masks summarize a *different* tensor than the shared
-    // workload planes, so the plane path rebuilds them locally.
-    const dnn::NeuronTensor *src = &input;
-    dnn::NeuronTensor diffed;
-    std::optional<sim::BrickPlanes> local_planes;
-    const sim::LayerWorkload *plane_source = workload;
-    if (config.diffy) {
-        diffed = diffyTransform(input);
-        src = &diffed;
-        plane_source = nullptr;
-    }
-    BrickCostContext ctx(tiling, *src, plane_source,
-                         kMaxFirstStageBits);
-    const sim::BrickPlanes *planes = ctx.planes();
-    if (config.diffy && accel.neuronLanes == dnn::kBrickSize) {
-        local_planes = sim::buildBrickPlanes(diffed);
-        planes = &*local_planes;
-    }
-    MaskSource masks(tiling, *src, planes);
+    // workload, so they come from a local workload over the diffed
+    // stream (its planes build on first use).
+    std::optional<sim::LayerWorkload> diffed;
+    if (config.diffy)
+        diffed.emplace(diffyTransform(workload.tensor()));
+    const sim::LayerWorkload &detected = diffed ? *diffed : workload;
+    BrickCostContext ctx(tiling, detected, kMaxFirstStageBits);
+    MaskSource masks(tiling, detected.tensor(), ctx.planes());
     const std::vector<sim::SynapseSetCoord> &set_coords =
         ctx.setCoords();
 
@@ -261,31 +252,6 @@ simulateImpl(const dnn::LayerSpec &layer,
                          static_cast<double>(tiling.numPallets()) *
                          static_cast<double>(num_sets);
     return result;
-}
-
-} // namespace
-
-sim::LayerResult
-simulateLayerDynamicStripes(const dnn::LayerSpec &layer,
-                            const dnn::NeuronTensor &input,
-                            const sim::AccelConfig &accel,
-                            const DynamicStripesConfig &config,
-                            const sim::SampleSpec &sample)
-{
-    return simulateImpl(layer, input, nullptr, accel, config, sample,
-                        util::InnerExecutor());
-}
-
-sim::LayerResult
-simulateLayerDynamicStripes(const dnn::LayerSpec &layer,
-                            const sim::LayerWorkload &workload,
-                            const sim::AccelConfig &accel,
-                            const DynamicStripesConfig &config,
-                            const sim::SampleSpec &sample,
-                            const util::InnerExecutor &exec)
-{
-    return simulateImpl(layer, workload.tensor(), &workload, accel,
-                        config, sample, exec);
 }
 
 } // namespace models

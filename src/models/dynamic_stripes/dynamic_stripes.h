@@ -47,7 +47,6 @@
 #pragma once
 
 #include "dnn/layer_spec.h"
-#include "dnn/tensor.h"
 #include "sim/accel_config.h"
 #include "sim/layer_result.h"
 #include "sim/sampling.h"
@@ -75,20 +74,9 @@ struct DynamicStripesConfig
 };
 
 /**
- * Price one layer from its input tensor (tensor path: every brick
- * mask rederived through the shared summarizeBrick reduction).
- */
-sim::LayerResult
-simulateLayerDynamicStripes(const dnn::LayerSpec &layer,
-                            const dnn::NeuronTensor &input,
-                            const sim::AccelConfig &accel,
-                            const DynamicStripesConfig &config,
-                            const sim::SampleSpec &sample);
-
-/**
- * Same result from a shared workload (plane path: brick masks served
- * from the workload's orMask plane when the machine's lanes match
- * kBrickSize). Bit-identical to the tensor overload.
+ * Price one layer from a shared workload. Brick masks come from the
+ * workload's orMask plane when the machine's lanes match kBrickSize,
+ * else through the shared summarizeBrick reduction over its tensor.
  */
 sim::LayerResult
 simulateLayerDynamicStripes(const dnn::LayerSpec &layer,

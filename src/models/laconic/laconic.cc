@@ -66,13 +66,14 @@ class LanePopSource
     const sim::LanePopPlanes *planes_;
 };
 
+} // namespace
+
 sim::LayerResult
-simulateImpl(const dnn::LayerSpec &layer,
-             const dnn::NeuronTensor &input,
-             const sim::LayerWorkload *workload,
-             const sim::AccelConfig &accel,
-             const sim::SampleSpec &sample,
-             const util::InnerExecutor &exec)
+simulateLayerLaconic(const dnn::LayerSpec &layer,
+                     const sim::LayerWorkload &workload,
+                     const sim::AccelConfig &accel,
+                     const sim::SampleSpec &sample,
+                     const util::InnerExecutor &exec)
 {
     sim::LayerTiling tiling(layer, accel);
     sim::SamplePlan plan = sim::planSample(tiling.numPallets(), sample);
@@ -82,17 +83,16 @@ simulateImpl(const dnn::LayerSpec &layer,
 
     // Skipping the intermediate widths (bits = max) keeps the context
     // from touching the memoized cycle planes Laconic never reads.
-    BrickCostContext ctx(tiling, input, workload, kMaxFirstStageBits);
+    BrickCostContext ctx(tiling, workload, kMaxFirstStageBits);
     const std::vector<sim::SynapseSetCoord> &set_coords =
         ctx.setCoords();
     // Weight planes are lazy and unsynchronized: resolve them here,
     // before the pallet loop fans out across inner threads.
     const sim::WeightBrickPlanes &wgt = ctx.weightPlanes();
     const sim::LanePopPlanes *act_planes =
-        workload && accel.neuronLanes == dnn::kBrickSize
-            ? &workload->lanePopPlanes()
-            : nullptr;
-    LanePopSource acts(tiling, input, act_planes);
+        accel.neuronLanes == dnn::kBrickSize ? &workload.lanePopPlanes()
+                                             : nullptr;
+    LanePopSource acts(tiling, workload.tensor(), act_planes);
 
     const int64_t num_units = static_cast<int64_t>(plan.indices.size());
     const int blocks = exec.blockCount(num_units);
@@ -164,29 +164,6 @@ simulateImpl(const dnn::LayerSpec &layer,
                          static_cast<double>(tiling.numPallets()) *
                          static_cast<double>(num_sets);
     return result;
-}
-
-} // namespace
-
-sim::LayerResult
-simulateLayerLaconic(const dnn::LayerSpec &layer,
-                     const dnn::NeuronTensor &input,
-                     const sim::AccelConfig &accel,
-                     const sim::SampleSpec &sample)
-{
-    return simulateImpl(layer, input, nullptr, accel, sample,
-                        util::InnerExecutor());
-}
-
-sim::LayerResult
-simulateLayerLaconic(const dnn::LayerSpec &layer,
-                     const sim::LayerWorkload &workload,
-                     const sim::AccelConfig &accel,
-                     const sim::SampleSpec &sample,
-                     const util::InnerExecutor &exec)
-{
-    return simulateImpl(layer, workload.tensor(), &workload, accel,
-                        sample, exec);
 }
 
 } // namespace models

@@ -34,7 +34,6 @@
 #pragma once
 
 #include "dnn/layer_spec.h"
-#include "dnn/tensor.h"
 #include "sim/accel_config.h"
 #include "sim/layer_result.h"
 #include "sim/sampling.h"
@@ -45,19 +44,9 @@ namespace pra {
 namespace models {
 
 /**
- * Price one layer from its input tensor (every neuron-brick lane
- * popcount rederived from a zero-copy brick view).
- */
-sim::LayerResult
-simulateLayerLaconic(const dnn::LayerSpec &layer,
-                     const dnn::NeuronTensor &input,
-                     const sim::AccelConfig &accel,
-                     const sim::SampleSpec &sample);
-
-/**
- * Same result from a shared workload (lane popcounts served from the
- * workload's per-lane plane when the machine's lanes match
- * kBrickSize). Bit-identical to the tensor overload.
+ * Price one layer from a shared workload. Lane popcounts come from
+ * the workload's per-lane plane when the machine's lanes match
+ * kBrickSize, else from a zero-copy brick view of its tensor.
  */
 sim::LayerResult
 simulateLayerLaconic(const dnn::LayerSpec &layer,

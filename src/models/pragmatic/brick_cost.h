@@ -25,10 +25,10 @@
  * identities and the monotonicity are asserted by the schedule test
  * suite, and both paths are bit-identical by construction.
  *
- * BrickCostContext is the per-layer setup both engines previously
- * duplicated: it builds the cost model (resolving plane eligibility
- * and the memoized cycle plane once per layer) and materializes the
- * pallet-independent synapse-set coordinates.
+ * BrickCostContext is the per-layer setup both engines share: it
+ * builds the cost model (resolving plane eligibility and the memoized
+ * cycle plane once per layer) and materializes the pallet-independent
+ * synapse-set coordinates.
  */
 
 #pragma once
@@ -128,19 +128,18 @@ class BrickCostModel
  * both engines visit every set once per pallet — resolve them once
  * per layer instead).
  *
- * @p workload may be nullptr (tensor path: every brick resolved from
- * @p input); when given, its tensor must be @p input. The context
- * must not outlive the tiling, input, or workload it was built from.
+ * The context must not outlive the tiling or workload it was built
+ * from.
  */
 class BrickCostContext
 {
   public:
     BrickCostContext(const sim::LayerTiling &tiling,
-                     const dnn::NeuronTensor &input,
-                     const sim::LayerWorkload *workload,
+                     const sim::LayerWorkload &workload,
                      int first_stage_bits)
         : tiling_(tiling), workload_(workload),
-          costs_(tiling, input, resolvePlanes(tiling, workload),
+          costs_(tiling, workload.tensor(),
+                 resolvePlanes(tiling, workload),
                  resolveCycles(tiling, workload, first_stage_bits),
                  first_stage_bits)
     {
@@ -160,7 +159,7 @@ class BrickCostContext
 
     /**
      * The shared activation planes this context resolved, or nullptr
-     * on the tensor path / a reshaped machine — exposed so
+     * on a reshaped machine — exposed so
      * two-operand engines reduce over exactly the plane object the
      * cost model reads (e.g. Dynamic-Stripes' per-group orMask).
      */
@@ -185,10 +184,8 @@ class BrickCostContext
     weightPlanes() const
     {
         if (!weightPlanes_) {
-            if (workload_ &&
-                tiling_.config().neuronLanes == dnn::kBrickSize) {
-                weightPlanes_ =
-                    &workload_->weightPlanes(tiling_.layer());
+            if (tiling_.config().neuronLanes == dnn::kBrickSize) {
+                weightPlanes_ = &workload_.weightPlanes(tiling_.layer());
             } else {
                 localWeights_ = sim::syntheticWeightPlanes(
                     tiling_.layer(), tiling_.config().neuronLanes);
@@ -201,31 +198,30 @@ class BrickCostContext
   private:
     static const sim::BrickPlanes *
     resolvePlanes(const sim::LayerTiling &tiling,
-                  const sim::LayerWorkload *workload)
+                  const sim::LayerWorkload &workload)
     {
         // The packed planes summarize kBrickSize-channel bricks; a
         // reshaped machine gathers narrower bricks straight from the
         // tensor instead.
-        if (!workload ||
-            tiling.config().neuronLanes != dnn::kBrickSize)
+        if (tiling.config().neuronLanes != dnn::kBrickSize)
             return nullptr;
-        return &workload->brickPlanes();
+        return &workload.brickPlanes();
     }
 
     static const uint8_t *
     resolveCycles(const sim::LayerTiling &tiling,
-                  const sim::LayerWorkload *workload,
+                  const sim::LayerWorkload &workload,
                   int first_stage_bits)
     {
         if (!resolvePlanes(tiling, workload) || first_stage_bits < 1 ||
             first_stage_bits >= kMaxFirstStageBits ||
             !sim::cyclePlanesEnabled())
             return nullptr;
-        return workload->cyclePlane(first_stage_bits).data();
+        return workload.cyclePlane(first_stage_bits).data();
     }
 
     const sim::LayerTiling &tiling_;
-    const sim::LayerWorkload *workload_;
+    const sim::LayerWorkload &workload_;
     BrickCostModel costs_;
     std::vector<sim::SynapseSetCoord> setCoords_;
     mutable const sim::WeightBrickPlanes *weightPlanes_ = nullptr;

@@ -54,13 +54,14 @@ class SsrPool
     std::vector<int64_t> allCopied_;
 };
 
+} // namespace
+
 sim::LayerResult
-simulateColumnSyncImpl(const dnn::LayerSpec &layer,
-                       const dnn::NeuronTensor &input,
-                       const sim::LayerWorkload *workload,
-                       const sim::AccelConfig &accel,
-                       const ColumnSyncConfig &config,
-                       const sim::SampleSpec &sample)
+simulateLayerColumnSync(const dnn::LayerSpec &layer,
+                        const sim::LayerWorkload &workload,
+                        const sim::AccelConfig &accel,
+                        const ColumnSyncConfig &config,
+                        const sim::SampleSpec &sample)
 {
     sim::LayerTiling tiling(layer, accel);
     sim::SamplePlan plan = sim::planSample(tiling.numPallets(), sample);
@@ -69,8 +70,7 @@ simulateColumnSyncImpl(const dnn::LayerSpec &layer,
 
     const int columns = accel.windowsPerPallet;
     const int64_t num_sets = tiling.numSynapseSets();
-    BrickCostContext ctx(tiling, input, workload,
-                         config.firstStageBits);
+    BrickCostContext ctx(tiling, workload, config.firstStageBits);
     const BrickCostModel &costs = ctx.costs();
     const std::vector<sim::SynapseSetCoord> &set_coords =
         ctx.setCoords();
@@ -186,30 +186,6 @@ simulateColumnSyncImpl(const dnn::LayerSpec &layer,
                          static_cast<double>(tiling.numPallets()) *
                          static_cast<double>(num_sets);
     return result;
-}
-
-} // namespace
-
-sim::LayerResult
-simulateLayerColumnSync(const dnn::LayerSpec &layer,
-                        const dnn::NeuronTensor &input,
-                        const sim::AccelConfig &accel,
-                        const ColumnSyncConfig &config,
-                        const sim::SampleSpec &sample)
-{
-    return simulateColumnSyncImpl(layer, input, nullptr, accel, config,
-                                  sample);
-}
-
-sim::LayerResult
-simulateLayerColumnSync(const dnn::LayerSpec &layer,
-                        const sim::LayerWorkload &workload,
-                        const sim::AccelConfig &accel,
-                        const ColumnSyncConfig &config,
-                        const sim::SampleSpec &sample)
-{
-    return simulateColumnSyncImpl(layer, workload.tensor(), &workload,
-                                  accel, config, sample);
 }
 
 } // namespace models

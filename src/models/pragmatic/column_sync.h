@@ -26,7 +26,6 @@
 #pragma once
 
 #include "dnn/layer_spec.h"
-#include "dnn/tensor.h"
 #include "sim/accel_config.h"
 #include "sim/layer_result.h"
 #include "sim/sampling.h"
@@ -45,19 +44,11 @@ struct ColumnSyncConfig
     bool ideal() const { return ssrCount <= 0; }
 };
 
-/** Simulate one layer under per-column synchronization. */
-sim::LayerResult
-simulateLayerColumnSync(const dnn::LayerSpec &layer,
-                        const dnn::NeuronTensor &input,
-                        const sim::AccelConfig &accel,
-                        const ColumnSyncConfig &config,
-                        const sim::SampleSpec &sample);
-
 /**
- * Workload-view variant: identical result, resolving brick costs
- * through the precomputed planes where possible. Column sync carries
- * SSR/dispatcher state across the whole pallet stream, so it does
- * not block-split (no InnerExecutor parameter).
+ * Simulate one layer under per-column synchronization, resolving
+ * brick costs through the workload's planes (see brick_cost.h).
+ * Column sync carries SSR/dispatcher state across the whole pallet
+ * stream, so it does not block-split (no InnerExecutor parameter).
  */
 sim::LayerResult
 simulateLayerColumnSync(const dnn::LayerSpec &layer,

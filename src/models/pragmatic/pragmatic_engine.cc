@@ -1,9 +1,35 @@
 #include "models/pragmatic/pragmatic_engine.h"
 
+#include "models/pragmatic/column_sync.h"
+#include "models/pragmatic/tile.h"
 #include "util/logging.h"
 
 namespace pra {
 namespace models {
+
+std::string
+PragmaticConfig::label() const
+{
+    // Built with repeated appends: the a + b + c temporary chain
+    // trips GCC 12's -Wrestrict false positive (PR 105651).
+    std::string name = "PRA-";
+    name += std::to_string(firstStageBits);
+    name += 'b';
+    if (sync == SyncScheme::PerColumn) {
+        if (ssrCount <= 0) {
+            name += "-idealR";
+        } else {
+            name += '-';
+            name += std::to_string(ssrCount);
+            name += 'R';
+        }
+    }
+    if (representation == Representation::Quant8)
+        name += "-q8";
+    if (!softwareTrim && representation == Representation::Fixed16)
+        name += "-notrim";
+    return name;
+}
 
 namespace {
 
@@ -64,36 +90,24 @@ PragmaticEngine::inputStream() const
 
 sim::LayerResult
 PragmaticEngine::simulateLayer(const dnn::LayerSpec &layer,
-                               const dnn::NeuronTensor &input,
-                               const sim::AccelConfig &accel,
-                               const sim::SampleSpec &sample) const
-{
-    return PragmaticSimulator(accel).runLayer(layer, input, config_,
-                                              sample);
-}
-
-sim::LayerResult
-PragmaticEngine::simulateLayer(const dnn::LayerSpec &layer,
                                const sim::LayerWorkload &workload,
                                const sim::AccelConfig &accel,
                                const sim::SampleSpec &sample,
                                const util::InnerExecutor &exec) const
 {
-    sim::LayerResult result;
-    if (config_.sync == SyncScheme::Pallet) {
-        PragmaticTileConfig tile;
-        tile.firstStageBits = config_.firstStageBits;
-        tile.modelNmStalls = config_.modelNmStalls;
-        result = simulateLayerPalletSync(layer, workload, accel, tile,
-                                         sample, exec);
-    } else {
-        ColumnSyncConfig column;
-        column.firstStageBits = config_.firstStageBits;
-        column.ssrCount = config_.ssrCount;
-        column.modelNmStalls = config_.modelNmStalls;
-        result = simulateLayerColumnSync(layer, workload, accel, column,
-                                         sample);
-    }
+    sim::LayerResult result =
+        config_.sync == SyncScheme::Pallet
+            ? simulateLayerPalletSync(
+                  layer, workload, accel,
+                  {.firstStageBits = config_.firstStageBits,
+                   .modelNmStalls = config_.modelNmStalls},
+                  sample, exec)
+            : simulateLayerColumnSync(
+                  layer, workload, accel,
+                  {.firstStageBits = config_.firstStageBits,
+                   .ssrCount = config_.ssrCount,
+                   .modelNmStalls = config_.modelNmStalls},
+                  sample);
     result.engineName = config_.label();
     return result;
 }

@@ -26,14 +26,15 @@ struct PalletPartial
     int64_t terms = 0;
 };
 
+} // namespace
+
 sim::LayerResult
-simulateImpl(const dnn::LayerSpec &layer,
-             const dnn::NeuronTensor &input,
-             const sim::LayerWorkload *workload,
-             const sim::AccelConfig &accel,
-             const PragmaticTileConfig &tile,
-             const sim::SampleSpec &sample,
-             const util::InnerExecutor &exec)
+simulateLayerPalletSync(const dnn::LayerSpec &layer,
+                        const sim::LayerWorkload &workload,
+                        const sim::AccelConfig &accel,
+                        const PragmaticTileConfig &tile,
+                        const sim::SampleSpec &sample,
+                        const util::InnerExecutor &exec)
 {
     sim::LayerTiling tiling(layer, accel);
     sim::SamplePlan plan = sim::planSample(tiling.numPallets(), sample);
@@ -41,8 +42,7 @@ simulateImpl(const dnn::LayerSpec &layer,
                          "pallet sync: layer has no pallets");
 
     const int64_t num_sets = tiling.numSynapseSets();
-    BrickCostContext ctx(tiling, input, workload,
-                         tile.firstStageBits);
+    BrickCostContext ctx(tiling, workload, tile.firstStageBits);
     const BrickCostModel &costs = ctx.costs();
     const std::vector<sim::SynapseSetCoord> &set_coords =
         ctx.setCoords();
@@ -124,31 +124,6 @@ simulateImpl(const dnn::LayerSpec &layer,
     result.sbReadSteps = passes * static_cast<double>(tiling.numPallets()) *
                          static_cast<double>(num_sets);
     return result;
-}
-
-} // namespace
-
-sim::LayerResult
-simulateLayerPalletSync(const dnn::LayerSpec &layer,
-                        const dnn::NeuronTensor &input,
-                        const sim::AccelConfig &accel,
-                        const PragmaticTileConfig &tile,
-                        const sim::SampleSpec &sample)
-{
-    return simulateImpl(layer, input, nullptr, accel, tile, sample,
-                        util::InnerExecutor());
-}
-
-sim::LayerResult
-simulateLayerPalletSync(const dnn::LayerSpec &layer,
-                        const sim::LayerWorkload &workload,
-                        const sim::AccelConfig &accel,
-                        const PragmaticTileConfig &tile,
-                        const sim::SampleSpec &sample,
-                        const util::InnerExecutor &exec)
-{
-    return simulateImpl(layer, workload.tensor(), &workload, accel,
-                        tile, sample, exec);
 }
 
 } // namespace models

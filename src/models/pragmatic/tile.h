@@ -10,9 +10,9 @@
  * the current one; the residue shows up as stall cycles
  * (Section V-A4).
  *
- * The workload-view overload consumes the precomputed per-brick
- * planes (term counts and L=0/L=4 schedule lengths) and can split the
- * sampled pallets into blocks across an InnerExecutor. Pallets are
+ * Brick costs come from the workload's per-brick planes (term counts
+ * and schedule lengths; see brick_cost.h), and the sampled pallets
+ * can split into blocks across an InnerExecutor. Pallets are
  * mutually independent (the NM overlap window resets at a pallet
  * boundary) and every per-block accumulator is an exact integer, so
  * block partials combined in block order are bit-identical to the
@@ -22,7 +22,6 @@
 #pragma once
 
 #include "dnn/layer_spec.h"
-#include "dnn/tensor.h"
 #include "sim/accel_config.h"
 #include "sim/layer_result.h"
 #include "sim/sampling.h"
@@ -42,23 +41,15 @@ struct PragmaticTileConfig
 /**
  * Simulate one layer under pallet synchronization.
  *
- * @param layer  layer geometry.
- * @param input  the layer's input neuron patterns (16-bit fixed point
- *               or 8-bit quantized codes; timing sees only bits).
- * @param accel  machine configuration.
- * @param tile   datapath configuration.
- * @param sample pallet sampling policy.
- */
-sim::LayerResult
-simulateLayerPalletSync(const dnn::LayerSpec &layer,
-                        const dnn::NeuronTensor &input,
-                        const sim::AccelConfig &accel,
-                        const PragmaticTileConfig &tile,
-                        const sim::SampleSpec &sample);
-
-/**
- * Workload-view variant: same result, served from the shared planes
- * where possible and split across @p exec (see the file comment).
+ * @param layer    layer geometry.
+ * @param workload the layer's input neuron patterns (16-bit fixed
+ *                 point or 8-bit quantized codes; timing sees only
+ *                 bits) and their planes.
+ * @param accel    machine configuration.
+ * @param tile     datapath configuration.
+ * @param sample   pallet sampling policy.
+ * @param exec     block-parallel executor (see the file comment);
+ *                 serial by default.
  */
 sim::LayerResult
 simulateLayerPalletSync(const dnn::LayerSpec &layer,
@@ -66,7 +57,7 @@ simulateLayerPalletSync(const dnn::LayerSpec &layer,
                         const sim::AccelConfig &accel,
                         const PragmaticTileConfig &tile,
                         const sim::SampleSpec &sample,
-                        const util::InnerExecutor &exec);
+                        const util::InnerExecutor &exec = {});
 
 } // namespace models
 } // namespace pra

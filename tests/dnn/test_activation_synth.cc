@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the calibrated synthetic activation generator — the
- * substitute for the paper's real ImageNet traces (DESIGN.md §3).
+ * substitute for the paper's real ImageNet traces (docs/ARCHITECTURE.md,
+ * "Calibrated substrates").
  * The key checks: determinism, and that the synthesized streams hit
  * the paper's Table I bit statistics they were calibrated against.
  */

@@ -12,8 +12,8 @@
 #include "dnn/model_zoo.h"
 #include "dnn/reference.h"
 #include "models/dadn/dadn.h"
+#include "models/engines.h"
 #include "models/pragmatic/pip.h"
-#include "models/pragmatic/simulator.h"
 #include "models/stripes/stripes.h"
 #include "sim/tiling.h"
 
@@ -148,25 +148,24 @@ TEST(EndToEnd, CycleCountOrderingAcrossEngines)
     auto net = dnn::makeTinyNetwork();
     DadnModel dadn;
     StripesModel stripes;
-    PragmaticSimulator prag;
-    SimOptions opt;
-    opt.sample = sim::SampleSpec{0}; // Tiny network: exhaustive.
+    dnn::ActivationSynthesizer synth(net);
+    auto cycles = [&](const std::string &kind,
+                      const sim::EngineKnobs &knobs) {
+        // Tiny network: exhaustive.
+        return builtinEngines()
+            .create(kind, knobs)
+            ->runNetwork(net, synth, sim::AccelConfig{},
+                         sim::SampleSpec{0})
+            .totalCycles();
+    };
 
     double base = dadn.run(net).totalCycles();
     double str = stripes.run(net).totalCycles();
-
-    PragmaticConfig pallet;
-    pallet.modelNmStalls = false;
-    double pra = prag.run(net, pallet, opt).totalCycles();
-
-    PragmaticConfig column = pallet;
-    column.sync = SyncScheme::PerColumn;
-    column.ssrCount = 1;
-    double col = prag.run(net, column, opt).totalCycles();
-
-    PragmaticConfig ideal = column;
-    ideal.ssrCount = 0;
-    double ide = prag.run(net, ideal, opt).totalCycles();
+    double pra = cycles("pragmatic", {{"nmstalls", "0"}});
+    double col =
+        cycles("pragmatic-col", {{"nmstalls", "0"}, {"ssr", "1"}});
+    double ide =
+        cycles("pragmatic-col", {{"nmstalls", "0"}, {"ssr", "0"}});
 
     EXPECT_GT(base, str);
     EXPECT_GT(str, pra);

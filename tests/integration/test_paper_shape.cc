@@ -2,16 +2,17 @@
  * @file
  * Shape tests against the paper's headline numbers: who wins, by
  * roughly what factor, and where the crossovers fall. Tolerances are
- * deliberately wide — the substrate is synthetic (DESIGN.md §3) and
- * absolute agreement is not the claim.
+ * deliberately wide — the substrate is synthetic (docs/ARCHITECTURE.md,
+ * "Calibrated substrates") and absolute agreement is not the claim.
  */
 
 #include <gtest/gtest.h>
 
 #include "dnn/model_zoo.h"
 #include "energy/area_power.h"
+#include "dnn/activation_synth.h"
 #include "models/dadn/dadn.h"
-#include "models/pragmatic/simulator.h"
+#include "models/engines.h"
 #include "models/stripes/stripes.h"
 #include "sim/layer_result.h"
 
@@ -30,27 +31,24 @@ class PaperShape : public ::testing::Test
             {dnn::makeAlexNet(), dnn::makeVggM(), dnn::makeVgg19()});
         DadnModel dadn;
         StripesModel stripes;
-        PragmaticSimulator prag;
-        SimOptions opt;
-        opt.sample = sim::SampleSpec{48};
 
         for (const auto &net : *nets_) {
+            dnn::ActivationSynthesizer synth(net);
+            auto cycles = [&](const std::string &kind,
+                              const sim::EngineKnobs &knobs) {
+                return builtinEngines()
+                    .create(kind, knobs)
+                    ->runNetwork(net, synth, sim::AccelConfig{},
+                                 sim::SampleSpec{48})
+                    .totalCycles();
+            };
             baseline_.push_back(dadn.run(net).totalCycles());
             str_.push_back(stripes.run(net).totalCycles());
-            PragmaticConfig pallet2b;
-            pra2b_.push_back(
-                prag.run(net, pallet2b, opt).totalCycles());
-            PragmaticConfig raw = pallet2b;
-            raw.softwareTrim = false;
-            praRaw_.push_back(prag.run(net, raw, opt).totalCycles());
-            PragmaticConfig col = pallet2b;
-            col.sync = SyncScheme::PerColumn;
-            col.ssrCount = 1;
-            praCol_.push_back(prag.run(net, col, opt).totalCycles());
-            PragmaticConfig ideal = col;
-            ideal.ssrCount = 0;
+            pra2b_.push_back(cycles("pragmatic", {}));
+            praRaw_.push_back(cycles("pragmatic", {{"trim", "0"}}));
+            praCol_.push_back(cycles("pragmatic-col", {{"ssr", "1"}}));
             praIdeal_.push_back(
-                prag.run(net, ideal, opt).totalCycles());
+                cycles("pragmatic-col", {{"ssr", "0"}}));
         }
     }
 
@@ -171,17 +169,20 @@ TEST(PaperShapeQuant, QuantizedBenefitsPersist)
     // PRA-2b-1R.
     auto net = dnn::makeAlexNet();
     DadnModel dadn;
-    PragmaticSimulator prag;
-    SimOptions opt;
-    opt.sample = sim::SampleSpec{32};
+    dnn::ActivationSynthesizer synth(net);
     double base = dadn.run(net).totalCycles();
+    auto speedup = [&](const std::string &kind,
+                       const sim::EngineKnobs &knobs) {
+        return base / builtinEngines()
+                          .create(kind, knobs)
+                          ->runNetwork(net, synth, sim::AccelConfig{},
+                                       sim::SampleSpec{32})
+                          .totalCycles();
+    };
 
-    PragmaticConfig q;
-    q.representation = Representation::Quant8;
-    double pallet = base / prag.run(net, q, opt).totalCycles();
-    q.sync = SyncScheme::PerColumn;
-    q.ssrCount = 1;
-    double col = base / prag.run(net, q, opt).totalCycles();
+    double pallet = speedup("pragmatic", {{"repr", "quant8"}});
+    double col =
+        speedup("pragmatic-col", {{"repr", "quant8"}, {"ssr", "1"}});
 
     EXPECT_GT(pallet, 1.5);
     EXPECT_GT(col, pallet);

@@ -18,8 +18,8 @@ TEST(TermCount, DadnCountsSixteenPerProduct)
     auto net = dnn::makeTinyNetwork();
     dnn::ActivationSynthesizer synth(net);
     const auto &layer = net.layers[0];
-    auto raw = synth.synthesizeFixed16(0);
-    auto trimmed = synth.synthesizeFixed16Trimmed(0);
+    sim::LayerWorkload raw(synth.synthesizeFixed16(0));
+    sim::LayerWorkload trimmed(synth.synthesizeFixed16Trimmed(0));
     auto counts = countLayerTerms16(layer, raw, trimmed, true,
                                     sim::SampleSpec{0});
     EXPECT_DOUBLE_EQ(counts.dadn, 16.0 * layer.products());
@@ -30,8 +30,8 @@ TEST(TermCount, StripesCountsPrecisionPerProduct)
     auto net = dnn::makeTinyNetwork();
     dnn::ActivationSynthesizer synth(net);
     const auto &layer = net.layers[1]; // p == 7.
-    auto raw = synth.synthesizeFixed16(1);
-    auto trimmed = synth.synthesizeFixed16Trimmed(1);
+    sim::LayerWorkload raw(synth.synthesizeFixed16(1));
+    sim::LayerWorkload trimmed(synth.synthesizeFixed16Trimmed(1));
     auto counts = countLayerTerms16(layer, raw, trimmed, false,
                                     sim::SampleSpec{0});
     EXPECT_DOUBLE_EQ(counts.stripes,
@@ -44,8 +44,8 @@ TEST(TermCount, FirstLayerCvnEqualsDadn)
     auto net = dnn::makeTinyNetwork();
     dnn::ActivationSynthesizer synth(net);
     const auto &layer = net.layers[0];
-    auto raw = synth.synthesizeFixed16(0);
-    auto trimmed = synth.synthesizeFixed16Trimmed(0);
+    sim::LayerWorkload raw(synth.synthesizeFixed16(0));
+    sim::LayerWorkload trimmed(synth.synthesizeFixed16Trimmed(0));
     auto first = countLayerTerms16(layer, raw, trimmed, true,
                                    sim::SampleSpec{0});
     EXPECT_DOUBLE_EQ(first.cvn, first.dadn);
@@ -58,8 +58,8 @@ TEST(TermCount, ZeroInputZeroesValueBasedCounts)
 {
     auto net = dnn::makeTinyNetwork();
     const auto &layer = net.layers[0];
-    dnn::NeuronTensor zeros(layer.inputX, layer.inputY,
-                            layer.inputChannels);
+    sim::LayerWorkload zeros(dnn::NeuronTensor(
+        layer.inputX, layer.inputY, layer.inputChannels));
     auto counts = countLayerTerms16(layer, zeros, zeros, false,
                                     sim::SampleSpec{0});
     EXPECT_DOUBLE_EQ(counts.zn, 0.0);

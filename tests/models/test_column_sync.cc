@@ -11,6 +11,7 @@
 #include "models/pragmatic/column_sync.h"
 #include "models/pragmatic/tile.h"
 #include "sim/tiling.h"
+#include "sim/workload_cache.h"
 #include "util/random.h"
 
 namespace pra {
@@ -63,10 +64,11 @@ TEST(ColumnSync, UniformInputMatchesPalletSync)
     // When every brick costs the same, columns stay in lockstep and
     // per-column sync offers nothing.
     auto layer = evenLayer();
-    dnn::NeuronTensor input(layer.inputX, layer.inputY,
-                            layer.inputChannels);
-    for (auto &v : input.flat())
+    dnn::NeuronTensor values(layer.inputX, layer.inputY,
+                             layer.inputChannels);
+    for (auto &v : values.flat())
         v = 0b101;
+    sim::LayerWorkload input(values);
     sim::AccelConfig accel;
     PragmaticTileConfig tile;
     tile.modelNmStalls = false;
@@ -84,7 +86,7 @@ TEST(ColumnSync, NeverSlowerThanPalletSync)
     PragmaticTileConfig tile;
     tile.modelNmStalls = false;
     for (uint64_t seed : {1ull, 2ull, 3ull}) {
-        auto input = randomInput(layer, seed);
+        sim::LayerWorkload input(randomInput(layer, seed));
         auto pallet = simulateLayerPalletSync(layer, input, accel,
                                               tile, sim::SampleSpec{0});
         auto column = simulateLayerColumnSync(layer, input, accel,
@@ -98,7 +100,7 @@ TEST(ColumnSync, NeverSlowerThanPalletSync)
 TEST(ColumnSync, MonotoneInSsrCount)
 {
     auto layer = evenLayer();
-    auto input = randomInput(layer, 7);
+    sim::LayerWorkload input(randomInput(layer, 7));
     sim::AccelConfig accel;
     double prev = 1e18;
     for (int ssrs : {1, 2, 4, 8, 16}) {
@@ -118,7 +120,7 @@ TEST(ColumnSync, SixteenSsrsNearIdeal)
 {
     // Section VI-C: performance saturates quickly with SSR count.
     auto layer = evenLayer();
-    auto input = randomInput(layer, 11);
+    sim::LayerWorkload input(randomInput(layer, 11));
     sim::AccelConfig accel;
     auto r16 = simulateLayerColumnSync(layer, input, accel, config(16),
                                        sim::SampleSpec{0});
@@ -130,10 +132,11 @@ TEST(ColumnSync, SixteenSsrsNearIdeal)
 TEST(ColumnSync, WorstCaseStillMatchesDaDn)
 {
     auto layer = evenLayer();
-    dnn::NeuronTensor input(layer.inputX, layer.inputY,
-                            layer.inputChannels);
-    for (auto &v : input.flat())
+    dnn::NeuronTensor values(layer.inputX, layer.inputY,
+                             layer.inputChannels);
+    for (auto &v : values.flat())
         v = 0xffff;
+    sim::LayerWorkload input(values);
     sim::AccelConfig accel;
     auto result = simulateLayerColumnSync(layer, input, accel,
                                           config(1), sim::SampleSpec{0});
@@ -147,7 +150,7 @@ TEST(ColumnSync, WorstCaseStillMatchesDaDn)
 TEST(ColumnSync, IdealBoundedByBusiestColumn)
 {
     auto layer = evenLayer();
-    auto input = randomInput(layer, 13);
+    sim::LayerWorkload input(randomInput(layer, 13));
     sim::AccelConfig accel;
     auto ideal = simulateLayerColumnSync(layer, input, accel, config(0),
                                          sim::SampleSpec{0});
@@ -162,7 +165,7 @@ TEST(ColumnSync, IdealBoundedByBusiestColumn)
 TEST(ColumnSync, EngineNames)
 {
     auto layer = evenLayer();
-    auto input = randomInput(layer, 17);
+    sim::LayerWorkload input(randomInput(layer, 17));
     sim::AccelConfig accel;
     auto r1 = simulateLayerColumnSync(layer, input, accel, config(1),
                                       sim::SampleSpec{16});
@@ -176,7 +179,7 @@ TEST(ColumnSync, NmModelOnlyAddsCycles)
 {
     auto net = dnn::makeAlexNet();
     dnn::ActivationSynthesizer synth(net);
-    auto input = synth.synthesizeFixed16Trimmed(0);
+    sim::LayerWorkload input(synth.synthesizeFixed16Trimmed(0));
     const auto &layer = net.layers[0];
     sim::AccelConfig accel;
     auto with = simulateLayerColumnSync(layer, input, accel,
@@ -197,7 +200,7 @@ TEST_P(SsrSweep, GainOverOneSsrIsBounded)
 {
     int ssrs = GetParam();
     auto layer = evenLayer();
-    auto input = randomInput(layer, 23, 0.6, 1u << 12);
+    sim::LayerWorkload input(randomInput(layer, 23, 0.6, 1u << 12));
     sim::AccelConfig accel;
     auto base = simulateLayerColumnSync(layer, input, accel, config(1),
                                         sim::SampleSpec{0});

@@ -181,63 +181,45 @@ TEST(DynamicStripes, MatchesBruteForceReferenceAcrossKnobGrid)
 {
     dnn::LayerSpec layer = partialLayer();
     dnn::NeuronTensor input = randomInput(layer, 0xd511a);
-    sim::AccelConfig accel;
-    sim::LayerTiling tiling(layer, accel);
-    for (int gc : {1, 4, 16})
-        for (int regs : {0, 1, 2})
-            for (bool lb : {false, true})
-                for (bool diffy : {false, true}) {
-                    DynamicStripesConfig config;
-                    config.groupColumns = gc;
-                    config.columnRegisters = regs;
-                    config.leadingBit = lb;
-                    config.diffy = diffy;
-                    ReferenceTotals want = referenceSimulate(
-                        layer, diffy ? diffyReference(input) : input,
-                        accel, config);
-                    sim::LayerResult got =
-                        simulateLayerDynamicStripes(
-                            layer, input, accel, config,
-                            sim::SampleSpec{0});
-                    SCOPED_TRACE("g=" + std::to_string(gc) +
-                                 " r=" + std::to_string(regs) +
-                                 " lb=" + std::to_string(lb) +
-                                 " diffy=" + std::to_string(diffy));
-                    EXPECT_EQ(got.cycles,
-                              static_cast<double>(tiling.passes()) *
-                                  static_cast<double>(want.cycles));
-                    EXPECT_EQ(got.effectualTerms,
-                              static_cast<double>(want.terms) *
-                                  layer.numFilters);
-                    EXPECT_EQ(got.nmStallCycles, 0.0);
-                }
-}
-
-TEST(DynamicStripes, WorkloadPathBitIdenticalToTensorPath)
-{
-    dnn::LayerSpec layer = partialLayer();
-    dnn::NeuronTensor input = randomInput(layer, 0xd511b);
-    sim::AccelConfig accel;
+    sim::LayerWorkload workload(input);
     util::ThreadPool pool(3);
     util::InnerExecutor exec(&pool, 3);
-    sim::LayerWorkload workload(input);
-    for (int gc : {1, 4, 16})
-        for (bool lb : {false, true})
-            for (bool diffy : {false, true}) {
-                DynamicStripesConfig config;
-                config.groupColumns = gc;
-                config.columnRegisters = 1;
-                config.leadingBit = lb;
-                config.diffy = diffy;
-                sim::LayerResult a = simulateLayerDynamicStripes(
-                    layer, input, accel, config, sim::SampleSpec{0});
-                sim::LayerResult b = simulateLayerDynamicStripes(
-                    layer, workload, accel, config, sim::SampleSpec{0},
-                    exec);
-                EXPECT_EQ(a.cycles, b.cycles) << gc;
-                EXPECT_EQ(a.effectualTerms, b.effectualTerms) << gc;
-                EXPECT_EQ(a.sbReadSteps, b.sbReadSteps) << gc;
-            }
+    // Brick-width lanes read the shared orMask plane; a reshaped
+    // machine takes the per-brick tensor fallback.
+    for (int lanes : {dnn::kBrickSize, 8}) {
+        sim::AccelConfig accel;
+        accel.neuronLanes = lanes;
+        sim::LayerTiling tiling(layer, accel);
+        for (int gc : {1, 4, 16})
+            for (int regs : {0, 1, 2})
+                for (bool lb : {false, true})
+                    for (bool diffy : {false, true}) {
+                        DynamicStripesConfig config;
+                        config.groupColumns = gc;
+                        config.columnRegisters = regs;
+                        config.leadingBit = lb;
+                        config.diffy = diffy;
+                        ReferenceTotals want = referenceSimulate(
+                            layer, diffy ? diffyReference(input) : input,
+                            accel, config);
+                        sim::LayerResult got =
+                            simulateLayerDynamicStripes(
+                                layer, workload, accel, config,
+                                sim::SampleSpec{0}, exec);
+                        SCOPED_TRACE("lanes=" + std::to_string(lanes) +
+                                     " g=" + std::to_string(gc) +
+                                     " r=" + std::to_string(regs) +
+                                     " lb=" + std::to_string(lb) +
+                                     " diffy=" + std::to_string(diffy));
+                        EXPECT_EQ(got.cycles,
+                                  static_cast<double>(tiling.passes()) *
+                                      static_cast<double>(want.cycles));
+                        EXPECT_EQ(got.effectualTerms,
+                                  static_cast<double>(want.terms) *
+                                      layer.numFilters);
+                        EXPECT_EQ(got.nmStallCycles, 0.0);
+                    }
+    }
 }
 
 TEST(DynamicStripes, LayerWideIsBitIdenticalToStripesAcrossPaperGrid)
@@ -283,7 +265,8 @@ TEST(DynamicStripes, LayerWideLeadingBitWidensToSynthesisWindowTop)
         sim::LayerResult want =
             StripesModel(accel).layerResult(layer, precision);
         sim::LayerResult got = ds->simulateLayer(
-            layer, dnn::NeuronTensor(), accel, sim::SampleSpec{0});
+            layer, sim::LayerWorkload(dnn::NeuronTensor()), accel,
+            sim::SampleSpec{0}, util::InnerExecutor());
         EXPECT_EQ(got.cycles, want.cycles) << layer.name;
         EXPECT_EQ(got.effectualTerms, want.effectualTerms)
             << layer.name;
@@ -314,8 +297,9 @@ TEST(DynamicStripesDeathTest, RejectsDegenerateKnobs)
     dnn::LayerSpec layer = partialLayer();
     dnn::NeuronTensor input = randomInput(layer, 1);
     sim::AccelConfig accel;
-    EXPECT_DEATH(engine->simulateLayer(layer, input, accel,
-                                       sim::SampleSpec{0}),
+    EXPECT_DEATH(engine->simulateLayer(layer, sim::LayerWorkload(input),
+                                       accel, sim::SampleSpec{0},
+                                       util::InnerExecutor()),
                  "divisor of windowsPerPallet");
 }
 

@@ -156,17 +156,27 @@ TEST(Laconic, MatchesBruteForcePerTermReference)
 {
     dnn::LayerSpec layer = partialLayer();
     dnn::NeuronTensor input = randomInput(layer, 0x1ac01);
-    sim::AccelConfig accel;
     auto codes = materializeCodes(layer);
-    sim::LayerResult got = simulateLayerLaconic(layer, input, accel,
-                                                sim::SampleSpec{0});
-    EXPECT_EQ(got.effectualTerms,
-              static_cast<double>(
-                  referenceTerms(layer, input, accel, codes)));
-    EXPECT_EQ(got.cycles,
-              static_cast<double>(
-                  referenceCycles(layer, input, accel, codes)));
-    EXPECT_EQ(got.nmStallCycles, 0.0);
+    sim::LayerWorkload workload(input);
+    util::ThreadPool pool(3);
+    util::InnerExecutor exec(&pool, 3);
+    // Brick-width lanes read the shared lane-popcount plane; a
+    // reshaped machine takes the per-brick tensor fallback.
+    for (int lanes : {dnn::kBrickSize, 8}) {
+        sim::AccelConfig accel;
+        accel.neuronLanes = lanes;
+        sim::LayerResult got = simulateLayerLaconic(
+            layer, workload, accel, sim::SampleSpec{0}, exec);
+        EXPECT_EQ(got.effectualTerms,
+                  static_cast<double>(
+                      referenceTerms(layer, input, accel, codes)))
+            << lanes;
+        EXPECT_EQ(got.cycles,
+                  static_cast<double>(
+                      referenceCycles(layer, input, accel, codes)))
+            << lanes;
+        EXPECT_EQ(got.nmStallCycles, 0.0);
+    }
 }
 
 TEST(Laconic, MultiPassPricesWorstCasePassButExactTerms)
@@ -191,31 +201,15 @@ TEST(Laconic, MultiPassPricesWorstCasePassButExactTerms)
     sim::LayerTiling tiling(layer, accel);
     ASSERT_EQ(tiling.passes(), 2);
     auto codes = materializeCodes(layer);
-    sim::LayerResult got = simulateLayerLaconic(layer, input, accel,
-                                                sim::SampleSpec{0});
+    sim::LayerResult got =
+        simulateLayerLaconic(layer, sim::LayerWorkload(input), accel,
+                             sim::SampleSpec{0}, util::InnerExecutor());
     EXPECT_EQ(got.effectualTerms,
               static_cast<double>(
                   referenceTerms(layer, input, accel, codes)));
     EXPECT_EQ(got.cycles,
               static_cast<double>(
                   referenceCycles(layer, input, accel, codes)));
-}
-
-TEST(Laconic, WorkloadPathBitIdenticalToTensorPath)
-{
-    dnn::LayerSpec layer = partialLayer();
-    dnn::NeuronTensor input = randomInput(layer, 0x1ac03);
-    sim::AccelConfig accel;
-    util::ThreadPool pool(3);
-    util::InnerExecutor exec(&pool, 3);
-    sim::LayerWorkload workload(input);
-    sim::LayerResult a =
-        simulateLayerLaconic(layer, input, accel, sim::SampleSpec{0});
-    sim::LayerResult b = simulateLayerLaconic(
-        layer, workload, accel, sim::SampleSpec{0}, exec);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.effectualTerms, b.effectualTerms);
-    EXPECT_EQ(a.sbReadSteps, b.sbReadSteps);
 }
 
 TEST(Laconic, PropagatedWeightPlanesAreDeterministicAndDistinct)

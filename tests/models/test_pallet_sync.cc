@@ -10,6 +10,7 @@
 #include "models/dadn/dadn.h"
 #include "models/pragmatic/tile.h"
 #include "sim/tiling.h"
+#include "sim/workload_cache.h"
 #include "util/random.h"
 
 namespace pra {
@@ -49,7 +50,7 @@ TEST(PalletSync, WorstCaseEqualsDaDn)
     // All-ones neurons: every brick takes 16 cycles, exactly DaDN's
     // per-pallet cost — the paper's "always match DaDN" guarantee.
     auto layer = evenLayer();
-    auto input = constantInput(layer, 0xffff);
+    sim::LayerWorkload input(constantInput(layer, 0xffff));
     sim::AccelConfig accel;
     PragmaticTileConfig tile;
     tile.modelNmStalls = false;
@@ -62,7 +63,7 @@ TEST(PalletSync, WorstCaseEqualsDaDn)
 TEST(PalletSync, SingleBitNeuronsGiveSixteenX)
 {
     auto layer = evenLayer();
-    auto input = constantInput(layer, 0b100);
+    sim::LayerWorkload input(constantInput(layer, 0b100));
     sim::AccelConfig accel;
     PragmaticTileConfig tile;
     tile.modelNmStalls = false;
@@ -75,7 +76,7 @@ TEST(PalletSync, SingleBitNeuronsGiveSixteenX)
 TEST(PalletSync, AllZeroInputStillPaysOneCyclePerSet)
 {
     auto layer = evenLayer();
-    auto input = constantInput(layer, 0);
+    sim::LayerWorkload input(constantInput(layer, 0));
     sim::AccelConfig accel;
     PragmaticTileConfig tile;
     tile.modelNmStalls = false;
@@ -91,9 +92,10 @@ TEST(PalletSync, NeverSlowerThanDaDnOnRandomData)
 {
     auto layer = evenLayer();
     util::Xoshiro256 rng(0xaaaa);
-    auto input = constantInput(layer, 0);
-    for (auto &v : input.flat())
+    auto values = constantInput(layer, 0);
+    for (auto &v : values.flat())
         v = static_cast<uint16_t>(rng.nextBounded(65536));
+    sim::LayerWorkload input(values);
     sim::AccelConfig accel;
     DadnModel dadn(accel);
     for (int l = 0; l <= 4; l++) {
@@ -110,7 +112,7 @@ TEST(PalletSync, MonotoneInFirstStageBits)
 {
     auto net = dnn::makeTinyNetwork();
     dnn::ActivationSynthesizer synth(net);
-    auto input = synth.synthesizeFixed16(1);
+    sim::LayerWorkload input(synth.synthesizeFixed16(1));
     const auto &layer = net.layers[1];
     sim::AccelConfig accel;
     double prev = 1e18;
@@ -128,7 +130,7 @@ TEST(PalletSync, MonotoneInFirstStageBits)
 TEST(PalletSync, SamplingIsUnbiasedOnUniformData)
 {
     auto layer = evenLayer();
-    auto input = constantInput(layer, 0b1010);
+    sim::LayerWorkload input(constantInput(layer, 0b1010));
     sim::AccelConfig accel;
     PragmaticTileConfig tile;
     tile.modelNmStalls = false;
@@ -144,11 +146,12 @@ TEST(PalletSync, SamplingCloseOnRandomData)
 {
     auto layer = evenLayer();
     util::Xoshiro256 rng(0xbbbb);
-    auto input = constantInput(layer, 0);
-    for (auto &v : input.flat())
+    auto values = constantInput(layer, 0);
+    for (auto &v : values.flat())
         v = rng.nextBool(0.5)
                 ? static_cast<uint16_t>(rng.nextBounded(256))
                 : 0;
+    sim::LayerWorkload input(values);
     sim::AccelConfig accel;
     PragmaticTileConfig tile;
     tile.modelNmStalls = false;
@@ -163,7 +166,7 @@ TEST(PalletSync, NmStallsOnlyAddCycles)
 {
     auto net = dnn::makeAlexNet();
     dnn::ActivationSynthesizer synth(net);
-    auto input = synth.synthesizeFixed16Trimmed(0);
+    sim::LayerWorkload input(synth.synthesizeFixed16Trimmed(0));
     const auto &layer = net.layers[0]; // stride 4: visible stalls.
     sim::AccelConfig accel;
     PragmaticTileConfig with;
@@ -181,7 +184,7 @@ TEST(PalletSync, NmStallsOnlyAddCycles)
 TEST(PalletSync, EffectualTermsScaleWithFilters)
 {
     auto layer = evenLayer();
-    auto input = constantInput(layer, 0b11);
+    sim::LayerWorkload input(constantInput(layer, 0b11));
     sim::AccelConfig accel;
     PragmaticTileConfig tile;
     tile.modelNmStalls = false;
@@ -197,7 +200,7 @@ TEST(PalletSync, EffectualTermsScaleWithFilters)
 TEST(PalletSync, SbReadsMatchDaDnSchedule)
 {
     auto layer = evenLayer();
-    auto input = constantInput(layer, 1);
+    sim::LayerWorkload input(constantInput(layer, 1));
     sim::AccelConfig accel;
     PragmaticTileConfig tile;
     auto result = simulateLayerPalletSync(layer, input, accel, tile,

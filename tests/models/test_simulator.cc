@@ -1,50 +1,60 @@
 /**
  * @file
- * Tests for the top-level Pragmatic simulation driver.
+ * Tests for driving Pragmatic through the engine registry: variant
+ * names, whole-network runs on synthetic streams, and the design
+ * orderings every driver relies on.
  */
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "dnn/activation_synth.h"
 #include "dnn/model_zoo.h"
 #include "models/dadn/dadn.h"
-#include "models/pragmatic/simulator.h"
+#include "models/engines.h"
+#include "models/stripes/stripes.h"
 
 namespace pra {
 namespace models {
 namespace {
 
-SimOptions
-fastOptions()
+std::unique_ptr<sim::Engine>
+engine(const std::string &kind, const sim::EngineKnobs &knobs = {})
 {
-    SimOptions opt;
-    opt.sample = sim::SampleSpec{16};
-    return opt;
+    return builtinEngines().create(kind, knobs);
 }
 
-TEST(Simulator, ConfigLabels)
+/** One network on its synthetic streams, 16 pallets per layer. */
+sim::NetworkResult
+run(const sim::Engine &engine, const dnn::Network &net,
+    uint64_t seed = 0x5eed)
 {
-    PragmaticConfig c;
-    c.firstStageBits = 2;
-    EXPECT_EQ(c.label(), "PRA-2b");
-    c.sync = SyncScheme::PerColumn;
-    c.ssrCount = 1;
-    EXPECT_EQ(c.label(), "PRA-2b-1R");
-    c.ssrCount = 0;
-    EXPECT_EQ(c.label(), "PRA-2b-idealR");
-    c.representation = Representation::Quant8;
-    EXPECT_EQ(c.label(), "PRA-2b-idealR-q8");
-    PragmaticConfig raw;
-    raw.softwareTrim = false;
-    EXPECT_EQ(raw.label(), "PRA-2b-notrim");
+    dnn::ActivationSynthesizer synth(net, seed);
+    return engine.runNetwork(net, synth, sim::AccelConfig{},
+                             sim::SampleSpec{16});
+}
+
+TEST(Simulator, EngineNames)
+{
+    EXPECT_EQ(engine("pragmatic", {{"bits", "2"}})->name(), "PRA-2b");
+    EXPECT_EQ(engine("pragmatic-col", {{"ssr", "1"}})->name(),
+              "PRA-2b-1R");
+    EXPECT_EQ(engine("pragmatic-col", {{"ssr", "0"}})->name(),
+              "PRA-2b-idealR");
+    EXPECT_EQ(engine("pragmatic-col", {{"ssr", "0"}, {"repr", "quant8"}})
+                  ->name(),
+              "PRA-2b-idealR-q8");
+    EXPECT_EQ(engine("pragmatic", {{"trim", "0"}})->name(),
+              "PRA-2b-notrim");
 }
 
 TEST(Simulator, RunsAllLayersDeterministically)
 {
-    PragmaticSimulator sim;
     auto net = dnn::makeTinyNetwork();
-    PragmaticConfig c;
-    auto r1 = sim.run(net, c, fastOptions());
-    auto r2 = sim.run(net, c, fastOptions());
+    auto pra = engine("pragmatic");
+    auto r1 = run(*pra, net);
+    auto r2 = run(*pra, net);
     ASSERT_EQ(r1.layers.size(), net.layers.size());
     EXPECT_DOUBLE_EQ(r1.totalCycles(), r2.totalCycles());
     EXPECT_EQ(r1.engineName, "PRA-2b");
@@ -52,49 +62,33 @@ TEST(Simulator, RunsAllLayersDeterministically)
 
 TEST(Simulator, FasterThanDaDnOnRealisticStreams)
 {
-    PragmaticSimulator sim;
     DadnModel dadn;
     auto net = dnn::makeTinyNetwork();
-    PragmaticConfig c;
-    auto pra = sim.run(net, c, fastOptions());
+    auto pra = run(*engine("pragmatic"), net);
     auto base = dadn.run(net);
     EXPECT_GT(pra.speedupOver(base), 1.0);
 }
 
 TEST(Simulator, TrimOnlyHelps)
 {
-    PragmaticSimulator sim;
     auto net = dnn::makeAlexNet();
-    PragmaticConfig trimmed;
-    PragmaticConfig raw;
-    raw.softwareTrim = false;
-    auto opt = fastOptions();
-    auto with = sim.run(net, trimmed, opt);
-    auto without = sim.run(net, raw, opt);
+    auto with = run(*engine("pragmatic"), net);
+    auto without = run(*engine("pragmatic", {{"trim", "0"}}), net);
     EXPECT_LE(with.totalCycles(), without.totalCycles());
 }
 
 TEST(Simulator, ColumnSyncBeatsPalletSync)
 {
-    PragmaticSimulator sim;
     auto net = dnn::makeTinyNetwork();
-    PragmaticConfig pallet;
-    PragmaticConfig column;
-    column.sync = SyncScheme::PerColumn;
-    column.ssrCount = 1;
-    auto opt = fastOptions();
-    auto p = sim.run(net, pallet, opt);
-    auto c = sim.run(net, column, opt);
+    auto p = run(*engine("pragmatic"), net);
+    auto c = run(*engine("pragmatic-col", {{"ssr", "1"}}), net);
     EXPECT_LE(c.totalCycles(), p.totalCycles() * 1.02);
 }
 
 TEST(Simulator, QuantizedRepresentationRuns)
 {
-    PragmaticSimulator sim;
     auto net = dnn::makeTinyNetwork();
-    PragmaticConfig c;
-    c.representation = Representation::Quant8;
-    auto result = sim.run(net, c, fastOptions());
+    auto result = run(*engine("pragmatic", {{"repr", "quant8"}}), net);
     EXPECT_GT(result.totalCycles(), 0.0);
     // 8-bit codes: at most 8 essential bits per neuron, so PRA can't
     // be slower than half of DaDN's 16-bit-parallel pace.
@@ -102,39 +96,47 @@ TEST(Simulator, QuantizedRepresentationRuns)
     EXPECT_GT(result.speedupOver(dadn.run(net)), 1.0);
 }
 
-TEST(Simulator, QuantizedPrecisionsAreInByteRange)
+TEST(Simulator, StripesQuant8PrecisionsAreInByteRange)
 {
+    // Stripes-q8 prices each layer at the bits its largest 8-bit
+    // code needs: one Stripes precision in 1..8 per layer.
     auto net = dnn::makeAlexNet();
-    dnn::ActivationSynthesizer synth(net);
-    auto precisions = quantizedPrecisions(synth);
-    ASSERT_EQ(precisions.size(), net.layers.size());
-    for (int p : precisions) {
-        EXPECT_GE(p, 1);
-        EXPECT_LE(p, 8);
+    auto result = run(*engine("stripes", {{"repr", "quant8"}}), net);
+    ASSERT_EQ(result.layers.size(), net.layers.size());
+    StripesModel stripes;
+    for (size_t i = 0; i < net.layers.size(); i++) {
+        int precision = 0;
+        for (int p = 1; p <= 16 && precision == 0; p++)
+            if (stripes.layerCycles(net.layers[i], p) ==
+                result.layers[i].cycles)
+                precision = p;
+        EXPECT_GE(precision, 1) << net.layers[i].name;
+        EXPECT_LE(precision, 8) << net.layers[i].name;
     }
     // Image layer codes span the full byte.
-    EXPECT_EQ(precisions[0], 8);
+    EXPECT_EQ(result.layers[0].cycles,
+              stripes.layerCycles(net.layers[0], 8));
 }
 
 TEST(Simulator, SeedChangesWorkloadNotShape)
 {
-    PragmaticSimulator sim;
     auto net = dnn::makeTinyNetwork();
-    PragmaticConfig c;
-    SimOptions a = fastOptions();
-    SimOptions b = fastOptions();
-    b.seed = 0xdead;
-    auto ra = sim.run(net, c, a);
-    auto rb = sim.run(net, c, b);
+    auto pra = engine("pragmatic");
+    auto ra = run(*pra, net);
+    auto rb = run(*pra, net, 0xdead);
     // Different streams, but statistically similar cycle counts.
     EXPECT_NEAR(ra.totalCycles() / rb.totalCycles(), 1.0, 0.15);
 }
 
 TEST(Simulator, InvalidAccelConfigPanics)
 {
+    auto net = dnn::makeTinyNetwork();
+    dnn::ActivationSynthesizer synth(net);
     sim::AccelConfig bad;
     bad.tiles = 0;
-    EXPECT_DEATH(PragmaticSimulator{bad}, "invalid config");
+    EXPECT_DEATH(engine("pragmatic")->runNetwork(net, synth, bad,
+                                                 sim::SampleSpec{16}),
+                 "invalid config");
 }
 
 } // namespace

@@ -12,7 +12,6 @@
 #include "models/analytic/term_count.h"
 #include "models/dadn/dadn.h"
 #include "models/engines.h"
-#include "models/pragmatic/simulator.h"
 #include "models/stripes/stripes.h"
 #include "sim/sweep.h"
 
@@ -141,43 +140,12 @@ TEST(EngineAdapters, StripesMatchesModel)
     EXPECT_EQ(via_engine.totalCycles(), direct.totalCycles());
 }
 
-TEST(EngineAdapters, PragmaticMatchesSimulator)
-{
-    auto net = dnn::makeTinyNetwork();
-    models::SimOptions sim_opt;
-    sim_opt.sample.maxUnits = 2;
-    dnn::ActivationSynthesizer synth(net, sim_opt.seed);
-    AccelConfig accel;
-
-    for (const EngineSelection &sel :
-         {EngineSelection{"pragmatic", {{"bits", "2"}}},
-          EngineSelection{"pragmatic-col",
-                          {{"bits", "2"}, {"ssr", "1"}}}}) {
-        auto engine = models::builtinEngines().create(sel);
-        NetworkResult via_engine = engine->runNetwork(
-            net, synth, accel, sim_opt.sample);
-
-        models::PragmaticConfig config;
-        config.firstStageBits = 2;
-        if (sel.kind == "pragmatic-col") {
-            config.sync = models::SyncScheme::PerColumn;
-            config.ssrCount = 1;
-        }
-        NetworkResult direct = models::PragmaticSimulator(accel).run(
-            net, config, sim_opt);
-        EXPECT_EQ(via_engine.totalCycles(), direct.totalCycles())
-            << sel.kind;
-        EXPECT_EQ(via_engine.totalStalls(), direct.totalStalls())
-            << sel.kind;
-        EXPECT_EQ(via_engine.engineName, direct.engineName);
-    }
-}
-
 TEST(EngineAdapters, TermsTrimmingMatchesSynthesizer)
 {
-    // The terms engine re-derives the trimmed stream from the raw
-    // one; its pra-red counts must agree with counts taken on the
-    // synthesizer's own trimmed stream (same mask, same anchor).
+    // The terms engine's pra-red counts must agree with counts taken
+    // on the synthesizer's own trimmed stream, and so must the layer
+    // entry point, which re-derives the trimmed stream from the raw
+    // one (same mask, same anchor).
     auto net = dnn::makeTinyNetwork();
     dnn::ActivationSynthesizer synth(net);
     SampleSpec sample{4};
@@ -188,12 +156,17 @@ TEST(EngineAdapters, TermsTrimmingMatchesSynthesizer)
 
     double expected = 0.0;
     for (size_t i = 0; i < net.layers.size(); i++) {
-        auto counts = models::countLayerTerms16(
-            net.layers[i],
-            synth.synthesizeFixed16(static_cast<int>(i)),
-            synth.synthesizeFixed16Trimmed(static_cast<int>(i)),
-            i == 0, sample);
+        LayerWorkload raw(synth.synthesizeFixed16(static_cast<int>(i)));
+        LayerWorkload trimmed(
+            synth.synthesizeFixed16Trimmed(static_cast<int>(i)));
+        auto counts = models::countLayerTerms16(net.layers[i], raw,
+                                                trimmed, i == 0, sample);
         expected += counts.praTrimmed;
+        // The layer entry point masks the raw stream itself.
+        EXPECT_EQ(engine->simulateLayer(net.layers[i], raw, AccelConfig{},
+                                        sample, util::InnerExecutor())
+                      .cycles,
+                  counts.praTrimmed);
     }
     EXPECT_DOUBLE_EQ(via_engine.totalCycles(), expected);
 }

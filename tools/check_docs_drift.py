@@ -21,7 +21,10 @@ It also dead-link-checks the documentation: every relative markdown
 link in README.md, docs/ARCHITECTURE.md, and CHANGES.md must resolve
 to an existing file (links are rooted at the linking file's own
 directory, falling back to the repo root for CHANGES.md-style
-repo-rooted links). Run from anywhere:
+repo-rooted links). Source comments and strings get the same check:
+every ``*.md`` name cited in ``src/ tests/ bench/ examples/ tools/``
+sources must name an existing file, relative to the repo root or to
+the citing file's directory. Run from anywhere:
 
     python3 tools/check_docs_drift.py
 """
@@ -136,6 +139,30 @@ def dead_links():
     return dead
 
 
+# Source trees and file patterns whose doc citations must resolve.
+CITING_ROOTS = ["src", "tests", "bench", "examples", "tools"]
+CITING_PATTERNS = ["*.cc", "*.h", "*.cpp", "*.py"]
+
+# A markdown file name as cited in prose, e.g. docs/ARCHITECTURE.md.
+MD_NAME_RE = re.compile(r"(?<![\w./-])([\w./-]+\.md)\b")
+
+
+def stale_doc_citations():
+    """(source:line, name) pairs citing a *.md file that does not exist."""
+    stale = []
+    for root in CITING_ROOTS:
+        for pattern in CITING_PATTERNS:
+            for path in sorted((REPO / root).rglob(pattern)):
+                text = path.read_text(encoding="utf-8")
+                rel = path.relative_to(REPO).as_posix()
+                for lineno, line in enumerate(text.splitlines(), 1):
+                    for name in MD_NAME_RE.findall(line):
+                        candidates = [REPO / name, path.parent / name]
+                        if not any(c.is_file() for c in candidates):
+                            stale.append((f"{rel}:{lineno}", name))
+    return stale
+
+
 def main():
     readme = (REPO / "README.md").read_text(encoding="utf-8")
     flags = declared_flags()
@@ -199,11 +226,23 @@ def main():
             print(f"  {doc}: ({target})", file=sys.stderr)
         return 1
 
+    stale = stale_doc_citations()
+    if stale:
+        print(
+            "check_docs_drift: source comments cite documents that do "
+            "not exist:",
+            file=sys.stderr,
+        )
+        for where, name in stale:
+            print(f"  {where}: {name}", file=sys.stderr)
+        return 1
+
     print(
         f"check_docs_drift: OK — {len(flags)} flags and "
         f"{len(registered_engine_kinds())} engine kinds all "
         f"documented in README.md; relative links in "
-        f"{', '.join(LINKED_DOCS)} all resolve"
+        f"{', '.join(LINKED_DOCS)} and *.md citations in "
+        f"{' '.join(r + '/' for r in CITING_ROOTS)} all resolve"
     )
     return 0
 
