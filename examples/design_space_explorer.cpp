@@ -45,10 +45,9 @@ main(int argc, char **argv)
     // One network x eleven engines: exactly the small-grid case the
     // two-level sweep is for — spare workers split layers instead of
     // idling.
-    sweep.threads = static_cast<int>(args.getInt(
-        "threads", util::ThreadPool::hardwareThreads()));
-    sweep.innerThreads =
-        static_cast<int>(args.getInt("inner-threads", 0));
+    sweep.threads = args.getIntAtLeast(
+        "threads", util::ThreadPool::hardwareThreads(), 1);
+    sweep.innerThreads = args.getIntAtLeast("inner-threads", 0, 0);
     sweep.cache = args.getBool("cache", true);
 
     // The exploration grid: DaDN baseline, pallet sync over the

@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <deque>
 #include <iterator>
 #include <memory>
+#include <optional>
 #include <queue>
-#include <set>
 #include <tuple>
 #include <utility>
 
@@ -30,7 +31,7 @@ roundTrip(double value)
     return buf;
 }
 
-/** Shared sanity checks of both fleet loops. */
+/** Sanity checks of a serving run. */
 void
 checkServingConfig(const BatchCostCurve &curve,
                    const ServingConfig &config)
@@ -56,7 +57,10 @@ checkServingConfig(const BatchCostCurve &curve,
                   "least one cycle when faults are enabled");
 }
 
-/** Copy the degraded-layer configuration into the report. */
+/**
+ * Copy the configuration into the report; `degraded` records whether
+ * any of the fault layer, queue cap or watermark is configured.
+ */
 void
 stampServingConfig(ServingReport &report, const ServingConfig &config)
 {
@@ -67,7 +71,9 @@ stampServingConfig(ServingReport &report, const ServingConfig &config)
     report.maxBatch = config.policy.maxBatch;
     report.timeoutCycles = config.policy.timeoutCycles;
     report.requests = config.requests;
-    report.degraded = servingDegradedEnabled(config);
+    report.degraded = faultsEnabled(config.faults) ||
+                      config.queueCap > 0 ||
+                      config.degradeWatermark > 0;
     report.mtbfCycles = config.faults.mtbfCycles;
     report.mttrCycles = config.faults.mttrCycles;
     report.faultKind = config.faults.kind;
@@ -116,96 +122,13 @@ buildBatchCostCurve(const dnn::Network &network, const Engine &engine,
 namespace {
 
 /**
- * The perfect-fleet loop: instances never fail, the queue is
- * unbounded, every request completes. It is the fault-free fast
- * path: a linear pull loop that costs about a tenth of
- * runDegradedFleet()'s event loop per request (0.011-0.013 s vs
- * 0.12-0.13 s for 3 x 5 x 20,000 requests on 4 instances, Intel
- * Xeon, -O2). runDegradedFleet() below must reproduce it exactly
- * when the fault layer is configured off (test-pinned).
- */
-ServingReport
-runIdealFleet(const BatchCostCurve &curve, const ServingConfig &config)
-{
-    const std::vector<uint64_t> arrivals =
-        generateArrivals(config.arrival, config.requests);
-    const size_t n = arrivals.size();
-    const size_t max_batch =
-        static_cast<size_t>(config.policy.maxBatch);
-
-    std::vector<uint64_t> free_at(
-        static_cast<size_t>(config.instances), 0);
-    util::Histogram latencies = util::Histogram::logSpaced(
-        kLatencyHistogramMax, kLatencyHistogramSubBits);
-    uint64_t makespan = 0;
-    double busy_cycles = 0.0;
-    int64_t dispatches = 0;
-
-    size_t k = 0;
-    while (k < n) {
-        // Earliest-free instance, lowest id on ties: a strict-<
-        // linear scan gives exactly that ordering.
-        size_t j = 0;
-        for (size_t i = 1; i < free_at.size(); i++)
-            if (free_at[i] < free_at[j])
-                j = i;
-
-        const uint64_t head = arrivals[k];
-        const size_t fill_idx = k + max_batch - 1;
-        const uint64_t fill =
-            fill_idx < n ? arrivals[fill_idx] : kNeverFills;
-        const uint64_t start =
-            dispatchCycle(config.policy, free_at[j], head, fill);
-
-        // Everything that has arrived by launch rides along, up to
-        // the batch cap; the head itself always has (head <= start).
-        size_t take = 1;
-        while (take < max_batch && k + take < n &&
-               arrivals[k + take] <= start)
-            take++;
-
-        const double cost = curve.batchSystemCycles[take - 1];
-        const uint64_t cost_cycles = std::max<uint64_t>(
-            1, static_cast<uint64_t>(std::llround(cost)));
-        const uint64_t done = start + cost_cycles;
-        for (size_t r = k; r < k + take; r++)
-            latencies.add(done - arrivals[r]);
-        busy_cycles += static_cast<double>(cost_cycles);
-        free_at[j] = done;
-        makespan = std::max(makespan, done);
-        dispatches++;
-        k += take;
-    }
-
-    ServingReport report;
-    report.networkName = curve.networkName;
-    report.engineName = curve.engineName;
-    stampServingConfig(report, config);
-    report.dispatches = dispatches;
-    report.meanBatch = static_cast<double>(config.requests) /
-                       static_cast<double>(dispatches);
-    report.p50Cycles = latencies.percentile(0.50);
-    report.p95Cycles = latencies.percentile(0.95);
-    report.p99Cycles = latencies.percentile(0.99);
-    report.meanLatencyCycles = latencies.mean();
-    report.imagesPerSecond = static_cast<double>(config.requests) *
-                             kCyclesPerSecond /
-                             static_cast<double>(makespan);
-    report.utilization =
-        busy_cycles / (static_cast<double>(config.instances) *
-                       static_cast<double>(makespan));
-    report.makespanCycles = makespan;
-    report.completed = config.requests;
-    return report;
-}
-
-/**
- * Discrete events of the degraded fleet loop. The enumerator order
- * is the tie-break at equal cycles and is load-bearing:
- * completions are observed before the fail-stop of the same cycle
- * (a batch whose interval is [start, done) finished), repairs before
- * new work is admitted, and arrivals/retries enter the queue before
- * the dispatcher re-evaluates.
+ * Discrete events of the fleet loop. The enumerator order is the
+ * tie-break at equal cycles and is load-bearing: completions are
+ * observed before the fail-stop of the same cycle (a batch whose
+ * interval is [start, done) finished), repairs before new work is
+ * admitted, and arrivals/retries enter the queue before the
+ * dispatcher re-evaluates. Arrivals never enter the heap: they
+ * stream from the sorted trace and merge into this order.
  */
 enum class EventKind : int {
     BatchDone = 0,
@@ -213,13 +136,12 @@ enum class EventKind : int {
     InstanceRepair = 2,
     Arrival = 3,
     RetryReady = 4,
-    TryDispatch = 5,
 };
 
 struct FleetEvent
 {
     uint64_t cycle = 0;
-    EventKind kind = EventKind::TryDispatch;
+    EventKind kind = EventKind::BatchDone;
     int idx = 0;      ///< Instance (fleet events) or request id.
     int64_t epoch = 0; ///< Launch generation (BatchDone staleness).
 };
@@ -237,31 +159,30 @@ struct FleetEventAfter
 };
 
 /**
- * The degraded fleet loop: the perfect-fleet semantics extended with
- * fail-stop faults (in-flight batches killed, requests retried with
- * exponential backoff, permanent-failure accounting), a bounded
- * dispatch queue with load-shedding, and the admission-control
- * watermark. Driven by a deterministic event heap; with the fault
- * layer configured off it reproduces runIdealFleet bit for bit
- * (test-pinned): dispatch decisions fire at exactly the cycles the
- * pull-loop computes, because every decline schedules a TryDispatch
- * wake-up at its own dispatchCycle estimate.
+ * The fleet loop: identical instances serve the arrival trace under
+ * the batching policy, with optional fail-stop faults (in-flight
+ * batches killed, requests retried with exponential backoff,
+ * permanent-failure accounting), a bounded dispatch queue with
+ * load-shedding, and the admission-control watermark. Dispatch
+ * decisions fire at exactly the cycles a pull loop over the trace
+ * computes: every decline leaves a wake-up at its own dispatchCycle
+ * estimate.
  */
 ServingReport
-runDegradedFleet(const BatchCostCurve &curve,
-                 const ServingConfig &config)
+runFleet(const BatchCostCurve &curve, const ServingConfig &config)
 {
     const std::vector<uint64_t> arrivals =
         generateArrivals(config.arrival, config.requests);
     const int n = static_cast<int>(arrivals.size());
-    const bool faults = faultsEnabled(config.faults);
 
     // Per-request state: dispatch attempts consumed so far.
     std::vector<int> tries(static_cast<size_t>(n), 0);
-    // Waiting requests, ordered by (queue-entry cycle, id): trace
+    // Waiting requests, sorted by (queue-entry cycle, id): trace
     // order for arrivals, requeue order for retries.
-    std::set<std::pair<uint64_t, int>> pending;
-    size_t next_arrival = 0; ///< Trace index of the next Arrival.
+    std::deque<std::pair<uint64_t, int>> pending;
+    int next_arrival = 0; ///< Trace cursor: the next request to arrive.
+    // The dispatcher's wake-up: the launch cycle of the last decline.
+    std::optional<uint64_t> wake;
 
     const size_t instances = static_cast<size_t>(config.instances);
     std::vector<uint64_t> free_at(instances, 0);
@@ -271,50 +192,71 @@ runDegradedFleet(const BatchCostCurve &curve,
     std::vector<std::vector<int>> flight(instances);
     std::vector<FaultTimeline> timelines;
     timelines.reserve(instances);
-    for (size_t i = 0; i < instances; i++)
-        timelines.emplace_back(config.faults,
-                               static_cast<int>(i));
-
     std::priority_queue<FleetEvent, std::vector<FleetEvent>,
                         FleetEventAfter>
         events;
-    for (int r = 0; r < n; r++)
-        events.push({arrivals[static_cast<size_t>(r)],
-                     EventKind::Arrival, r, 0});
-    for (size_t i = 0; i < instances; i++)
+    for (size_t i = 0; i < instances; i++) {
+        timelines.emplace_back(config.faults, static_cast<int>(i));
         if (timelines[i].failCycle() != kNoFault)
             events.push({timelines[i].failCycle(),
                          EventKind::InstanceFail,
                          static_cast<int>(i), 0});
+    }
 
+    // The report's counters accumulate in place.
+    ServingReport report;
+    report.networkName = curve.networkName;
+    report.engineName = curve.engineName;
+    stampServingConfig(report, config);
+    uint64_t &makespan = report.makespanCycles;
     util::Histogram latencies = util::Histogram::logSpaced(
         kLatencyHistogramMax, kLatencyHistogramSubBits);
     util::Histogram faulted_latencies = util::Histogram::logSpaced(
         kLatencyHistogramMax, kLatencyHistogramSubBits);
-    uint64_t makespan = 0;
     double busy_cycles = 0.0;
-    int64_t dispatches = 0;
     int64_t dispatched_images = 0;
-    int64_t degraded_dispatches = 0;
-    int64_t killed_batches = 0;
-    int64_t instance_failures = 0;
-    int64_t retries = 0;
-    int completed = 0;
-    int permanent_failures = 0;
-    int shed = 0;
-    int resolved = 0;
+    auto resolved = [&] {
+        return report.completed + report.shedRequests +
+               report.permanentFailures;
+    };
 
     // A request entering the queue at cycle t: shed at the cap (the
-    // bounded queue's loud load-shedding), queued otherwise.
+    // bounded queue's loud load-shedding), queued otherwise. Every
+    // waiting request entered at or before t, so an arrival appends
+    // and a retry lands among the back entries.
     auto admit = [&](uint64_t t, int request) {
         if (config.queueCap > 0 &&
             pending.size() >= static_cast<size_t>(config.queueCap)) {
-            shed++;
-            resolved++;
+            report.shedRequests++;
             makespan = std::max(makespan, t);
             return;
         }
-        pending.insert({t, request});
+        const std::pair<uint64_t, int> key{t, request};
+        if (pending.empty() || pending.back() < key)
+            pending.push_back(key);
+        else
+            pending.insert(std::upper_bound(pending.begin(),
+                                            pending.end(), key),
+                           key);
+    };
+
+    // The next event in (cycle, kind, idx) order, merging the heap
+    // with the trace cursor; false once both are drained.
+    auto peek = [&](FleetEvent &ev) {
+        if (next_arrival < n) {
+            const uint64_t at = arrivals[static_cast<size_t>(next_arrival)];
+            if (events.empty() ||
+                std::make_pair(at, EventKind::Arrival) <
+                    std::make_pair(events.top().cycle,
+                                   events.top().kind)) {
+                ev = {at, EventKind::Arrival, next_arrival, 0};
+                return true;
+            }
+        }
+        if (events.empty())
+            return false;
+        ev = events.top();
+        return true;
     };
 
     auto handleEvent = [&](const FleetEvent &ev, uint64_t t) {
@@ -329,8 +271,7 @@ runDegradedFleet(const BatchCostCurve &curve,
                 latencies.add(latency);
                 if (tries[static_cast<size_t>(r)] > 1)
                     faulted_latencies.add(latency);
-                completed++;
-                resolved++;
+                report.completed++;
             }
             busy_cycles += static_cast<double>(t - launch_at[i]);
             makespan = std::max(makespan, t);
@@ -339,21 +280,20 @@ runDegradedFleet(const BatchCostCurve &curve,
           }
           case EventKind::InstanceFail: {
             const size_t i = static_cast<size_t>(ev.idx);
-            instance_failures++;
+            report.instanceFailures++;
             up[i] = 0;
             if (!flight[i].empty()) {
                 // Fail-stop mid-batch: the whole batch is lost.
-                killed_batches++;
+                report.killedBatches++;
                 busy_cycles += static_cast<double>(t - launch_at[i]);
                 for (int r : flight[i]) {
                     const int used = tries[static_cast<size_t>(r)];
                     if (used > config.retry.maxRetries) {
-                        permanent_failures++;
-                        resolved++;
+                        report.permanentFailures++;
                         makespan = std::max(makespan, t);
                         continue;
                     }
-                    retries++;
+                    report.retries++;
                     const uint64_t ready = util::saturatingAdd(
                         t, retryBackoffCycles(config.retry,
                                               config.faults.seed, r,
@@ -379,25 +319,20 @@ runDegradedFleet(const BatchCostCurve &curve,
             return;
           }
           case EventKind::Arrival:
-            next_arrival = static_cast<size_t>(ev.idx) + 1;
-            admit(t, ev.idx);
-            return;
           case EventKind::RetryReady:
             admit(t, ev.idx);
             return;
-          case EventKind::TryDispatch:
-            return; // Only exists to wake the dispatcher below.
         }
     };
 
     // Launch every batch the policy allows at cycle t; when the next
-    // launch is strictly in the future, schedule a TryDispatch
-    // wake-up at exactly that estimate (re-evaluated there, so new
-    // arrivals/retries/repairs can only pull it earlier).
+    // launch is strictly in the future, set the wake-up to exactly
+    // that estimate. State only changes at events, and every event
+    // re-runs this, so a later estimate simply overwrites it.
     auto dispatchAt = [&](uint64_t t) {
         while (!pending.empty()) {
             // Earliest-free instance among in-service idle ones,
-            // lowest id on ties (the perfect-fleet rule).
+            // lowest id on ties.
             int j = -1;
             for (size_t i = 0; i < instances; i++) {
                 if (!up[i] || !flight[i].empty())
@@ -424,18 +359,15 @@ runDegradedFleet(const BatchCostCurve &curve,
             const size_t max_batch =
                 static_cast<size_t>(policy.maxBatch);
 
-            const uint64_t head = pending.begin()->first;
+            const uint64_t head = pending.front().first;
             uint64_t fill;
             if (occupancy >= max_batch) {
-                auto it = pending.begin();
-                std::advance(it,
-                             static_cast<ptrdiff_t>(max_batch) - 1);
-                fill = it->first;
+                fill = pending[max_batch - 1].first;
             } else {
                 // Estimate the fill from the trace tail; retries
                 // still in backoff are unknowable to a dispatcher.
-                const size_t idx =
-                    next_arrival + (max_batch - occupancy) - 1;
+                const size_t idx = static_cast<size_t>(next_arrival) +
+                                   (max_batch - occupancy) - 1;
                 fill = idx < static_cast<size_t>(n)
                            ? arrivals[idx]
                            : kNeverFills;
@@ -445,20 +377,19 @@ runDegradedFleet(const BatchCostCurve &curve,
             const uint64_t start =
                 dispatchCycle(policy, free_at[ji], head, fill);
             if (start > t) {
-                events.push({start, EventKind::TryDispatch, 0, 0});
+                wake = start;
                 return;
             }
             // start < t only after a watermark flip mid-wait; the
             // launch happens now either way.
             const uint64_t launch = std::max(start, t);
 
-            size_t take = 0;
-            while (take < max_batch && !pending.empty()) {
-                auto it = pending.begin();
-                flight[ji].push_back(it->second);
-                tries[static_cast<size_t>(it->second)]++;
-                pending.erase(it);
-                take++;
+            const size_t take = std::min(max_batch, occupancy);
+            for (size_t k = 0; k < take; k++) {
+                const int r = pending.front().second;
+                flight[ji].push_back(r);
+                tries[static_cast<size_t>(r)]++;
+                pending.pop_front();
             }
             const double cost = curve.batchSystemCycles[take - 1];
             const uint64_t cost_cycles = std::max<uint64_t>(
@@ -470,41 +401,47 @@ runDegradedFleet(const BatchCostCurve &curve,
             if (done != kNoFault)
                 events.push({done, EventKind::BatchDone, j,
                              epoch[ji]});
-            dispatches++;
+            report.dispatches++;
             dispatched_images += static_cast<int64_t>(take);
             if (degrade)
-                degraded_dispatches++;
+                report.degradedDispatches++;
         }
     };
 
-    while (!events.empty() && resolved < n) {
-        const uint64_t t = events.top().cycle;
-        while (!events.empty() && events.top().cycle == t) {
-            FleetEvent ev = events.top();
-            events.pop();
+    // Each step jumps to the earliest pending event or wake-up,
+    // handles every event of that cycle, then lets the dispatcher act.
+    FleetEvent ev;
+    while (resolved() < n) {
+        bool more = peek(ev);
+        if (!more && !wake)
+            break;
+        const uint64_t t = !more  ? *wake
+                           : wake ? std::min(ev.cycle, *wake)
+                                  : ev.cycle;
+        if (wake == t)
+            wake.reset();
+        for (; more && ev.cycle == t; more = peek(ev)) {
+            if (ev.kind == EventKind::Arrival)
+                next_arrival++;
+            else
+                events.pop();
             handleEvent(ev, t);
         }
-        if (resolved >= n)
+        if (resolved() >= n)
             break;
         dispatchAt(t);
     }
-    // The heap can only drain with unresolved requests when every
+    // The loop can only drain with unresolved requests when every
     // instance wedged permanently (saturated repair/completion
     // times): account the stranded requests as permanent failures
     // rather than stalling or spinning.
-    permanent_failures += n - resolved;
-    resolved = n;
+    report.permanentFailures = n - report.completed - report.shedRequests;
 
-    ServingReport report;
-    report.networkName = curve.networkName;
-    report.engineName = curve.engineName;
-    stampServingConfig(report, config);
-    report.dispatches = dispatches;
     report.meanBatch =
-        dispatches == 0
+        report.dispatches == 0
             ? 0.0
             : static_cast<double>(dispatched_images) /
-                  static_cast<double>(dispatches);
+                  static_cast<double>(report.dispatches);
     report.p50Cycles = latencies.percentile(0.50);
     report.p95Cycles = latencies.percentile(0.95);
     report.p99Cycles = latencies.percentile(0.99);
@@ -512,18 +449,10 @@ runDegradedFleet(const BatchCostCurve &curve,
     const double span = static_cast<double>(std::max<uint64_t>(
         makespan, 1));
     report.imagesPerSecond =
-        static_cast<double>(completed) * kCyclesPerSecond / span;
+        static_cast<double>(report.completed) * kCyclesPerSecond / span;
     report.utilization =
         busy_cycles / (static_cast<double>(config.instances) * span);
-    report.makespanCycles = makespan;
-    report.completed = completed;
-    report.retries = retries;
-    report.permanentFailures = permanent_failures;
-    report.shedRequests = shed;
-    report.killedBatches = killed_batches;
-    report.instanceFailures = instance_failures;
-    report.degradedDispatches = degraded_dispatches;
-    if (faults) {
+    if (faultsEnabled(config.faults)) {
         uint64_t up_cycles = 0;
         for (size_t i = 0; i < instances; i++)
             up_cycles +=
@@ -541,28 +470,11 @@ runDegradedFleet(const BatchCostCurve &curve,
 
 } // namespace
 
-bool
-servingDegradedEnabled(const ServingConfig &config)
-{
-    return faultsEnabled(config.faults) || config.queueCap > 0 ||
-           config.degradeWatermark > 0;
-}
-
 ServingReport
 simulateServing(const BatchCostCurve &curve, const ServingConfig &config)
 {
     checkServingConfig(curve, config);
-    return servingDegradedEnabled(config)
-               ? runDegradedFleet(curve, config)
-               : runIdealFleet(curve, config);
-}
-
-ServingReport
-simulateServingDegraded(const BatchCostCurve &curve,
-                        const ServingConfig &config)
-{
-    checkServingConfig(curve, config);
-    return runDegradedFleet(curve, config);
+    return runFleet(curve, config);
 }
 
 std::vector<ServingReport>
@@ -650,9 +562,10 @@ writeServingCsv(std::ostream &out,
                 const std::vector<ServingReport> &reports)
 {
     util::CsvWriter csv(out);
-    // The degraded-serving columns appear only when some report ran
-    // the degraded loop, so historical (fault-free) CSVs — and the
-    // committed goldens that pin them — keep their exact shape.
+    // The degraded-serving columns appear only when some report
+    // configured the degraded layer, so historical (fault-free) CSVs
+    // — and the committed goldens that pin them — keep their exact
+    // shape.
     bool degraded = false;
     for (const auto &r : reports)
         degraded = degraded || r.degraded;

@@ -25,11 +25,16 @@
  *     identical servers; the dispatcher repeatedly takes the
  *     earliest-free instance (lowest id on ties), launches at the
  *     cycle sim/serving/batching.h dictates, and charges the batch
- *     the curve's cost. Single-threaded over a fixed-order trace:
- *     deterministic by construction, so serving reports are
- *     byte-identical across --threads/--inner-threads/--cache (the
- *     parallelism lives in stage 1, whose results are already
- *     bit-identical across schedules).
+ *     the curve's cost. One loop serves every config: arrivals
+ *     stream from the sorted trace merged with a small event heap
+ *     (completions, fail-stops, repairs, retries), and fail-stop
+ *     faults, the bounded queue and the admission watermark are
+ *     rules inside it, not a second path. Single-threaded over a
+ *     fixed-order trace: deterministic by construction, so serving
+ *     reports are byte-identical across
+ *     --threads/--inner-threads/--cache (the parallelism lives in
+ *     stage 1, whose results are already bit-identical across
+ *     schedules).
  *
  * Latencies (completion - arrival, in cycles) feed a log-spaced
  * util::Histogram; p50/p95/p99 are its conservative bucket bounds.
@@ -93,14 +98,6 @@ struct ServingConfig
     int degradeWatermark = 0;
 };
 
-/**
- * True when @p config needs the degraded event loop (fault
- * injection, a bounded queue, or admission control); false selects
- * the historical perfect-fleet loop, whose output every committed
- * serving golden pins byte for byte.
- */
-bool servingDegradedEnabled(const ServingConfig &config);
-
 /** System-cycle cost of batches of 1..maxBatch images of one cell. */
 struct BatchCostCurve
 {
@@ -153,7 +150,12 @@ struct ServingReport
 
     // --- Degraded-serving columns, emitted only when the fault
     // --- layer is configured (see writeServingCsv).
-    bool degraded = false; ///< Degraded loop configured for this run.
+    /**
+     * The fault layer, queue cap or watermark is configured. Selects
+     * only the CSV column set (see writeServingCsv); every run takes
+     * the same loop.
+     */
+    bool degraded = false;
     uint64_t mtbfCycles = 0;     ///< Config echo (0 = faults off).
     uint64_t mttrCycles = 0;     ///< Config echo.
     FaultKind faultKind = FaultKind::Exponential;
@@ -176,21 +178,13 @@ struct ServingReport
 
 /**
  * Run the fleet event loop for one cost curve under @p config
- * (whose policy.maxBatch must not exceed the curve's length).
- * Dispatches to the degraded loop iff servingDegradedEnabled().
- * Deterministic: same inputs, same report, bit for bit.
+ * (whose policy.maxBatch must not exceed the curve's length). One
+ * loop serves every config; the fault layer, queue cap and watermark
+ * only switch on its extra rules. Deterministic: same inputs, same
+ * report, bit for bit.
  */
 ServingReport simulateServing(const BatchCostCurve &curve,
                               const ServingConfig &config);
-
-/**
- * The degraded fleet event loop, callable directly so tests can pin
- * its fault-free specialization: with faults, queue cap, and
- * watermark all off it must reproduce every field simulateServing's
- * perfect-fleet loop reports, bit for bit.
- */
-ServingReport simulateServingDegraded(const BatchCostCurve &curve,
-                                      const ServingConfig &config);
 
 /** Options of a serving sweep over (networks x engines x rates). */
 struct ServingSweepOptions

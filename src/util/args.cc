@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 
 #include "util/logging.h"
 
@@ -105,6 +106,21 @@ ArgParser::getInt(const std::string &name, int64_t fallback) const
         fatal("flag --" + name + " expects an integer, got '" +
               it->second + "'");
     return v;
+}
+
+int
+ArgParser::getIntAtLeast(const std::string &name, int fallback,
+                         int lo) const
+{
+    if (!has(name))
+        return fallback;
+    int64_t v = getInt(name, fallback);
+    if (v < lo || v > std::numeric_limits<int>::max())
+        fatal("--" + name + " must be an integer in [" +
+              std::to_string(lo) + ", " +
+              std::to_string(std::numeric_limits<int>::max()) +
+              "] (got " + std::to_string(v) + ")");
+    return static_cast<int>(v);
 }
 
 double

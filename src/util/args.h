@@ -37,6 +37,15 @@ class ArgParser
     /** Integer flag value, or @p fallback when absent. */
     int64_t getInt(const std::string &name, int64_t fallback) const;
 
+    /**
+     * Integer flag value, or @p fallback when absent; fatal() naming
+     * the flag unless the value lies in [@p lo, INT_MAX]. Use it
+     * wherever a flag lands in an int, so a huge value is rejected
+     * instead of wrapping.
+     */
+    int getIntAtLeast(const std::string &name, int fallback,
+                      int lo) const;
+
     /** Double flag value, or @p fallback when absent. */
     double getDouble(const std::string &name, double fallback) const;
 

@@ -3,8 +3,9 @@
 
 Usage: check_chaos_csv.py CHAOS_CSV
 
-CI's serving-smoke job runs a pinned saturating fault scenario and
-pipes the CSV here. Every data row must actually be degraded:
+ctest runs this on tests/golden/pra_serve_chaos.csv, the output of a
+pinned saturating fault scenario. Every data row must actually be
+degraded:
 
   * availability < 1        (instances really failed)
   * shed_requests > 0       (the bounded queue shed load)

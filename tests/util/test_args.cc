@@ -61,6 +61,40 @@ TEST(ArgParserDeathTest, RejectsMalformedBoolean)
     EXPECT_DEATH(args.getBool("cache", true), "expects a boolean");
 }
 
+TEST(ArgParser, IntAtLeastAcceptsTheFullIntRange)
+{
+    EXPECT_EQ(parse({"--n=1"}).getIntAtLeast("n", 7, 1), 1);
+    EXPECT_EQ(parse({"--n=0"}).getIntAtLeast("n", 7, 0), 0);
+    EXPECT_EQ(parse({"--n=2147483647"}).getIntAtLeast("n", 7, 1),
+              2147483647);
+    EXPECT_EQ(parse({}).getIntAtLeast("n", 7, 1), 7);
+}
+
+TEST(ArgParserDeathTest, IntAtLeastRejectsValuesOutsideTheIntRange)
+{
+    // Values an int cast used to wrap (to 1, 0, 1215752191 and a
+    // negative fleet size) or that fall below the flag's floor.
+    struct Case
+    {
+        const char *arg;
+        int lo;
+    };
+    const Case cases[] = {
+        {"--n=4294967297", 1}, {"--n=4294967296", 0},
+        {"--n=99999999999", 1}, {"--n=3000000000", 1},
+        {"--n=2147483648", 0}, {"--n=99999999999999999999", 1},
+        {"--n=0", 1},          {"--n=-1", 0},
+        {"--n=-4294967295", 0},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.arg);
+        ArgParser args = parse({c.arg});
+        EXPECT_DEATH(args.getIntAtLeast("n", 1, c.lo),
+                     "--n must be an integer in \\[" +
+                         std::to_string(c.lo) + ", 2147483647\\]");
+    }
+}
+
 TEST(ArgParser, Doubles)
 {
     auto args = parse({"--scale=2.5"});

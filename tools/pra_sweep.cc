@@ -73,6 +73,7 @@
 
 #include <cstdio>
 #include <iostream>
+#include <limits>
 
 #include "dnn/model_zoo.h"
 #include "energy/memory_energy.h"
@@ -255,10 +256,9 @@ main(int argc, char **argv)
         parseEngines(args.getString("engines", "paper"));
 
     sim::SweepOptions options;
-    options.threads = static_cast<int>(
-        args.getInt("threads", util::ThreadPool::hardwareThreads()));
-    options.innerThreads =
-        static_cast<int>(args.getInt("inner-threads", 0));
+    options.threads = args.getIntAtLeast(
+        "threads", util::ThreadPool::hardwareThreads(), 1);
+    options.innerThreads = args.getIntAtLeast("inner-threads", 0, 0);
     options.cache = args.getBool("cache", true);
     options.activations = activations;
     options.accel.memory =
@@ -278,11 +278,7 @@ main(int argc, char **argv)
         util::fatal("--seed must be non-negative (got " +
                     std::to_string(seed) + ")");
     options.seed = static_cast<uint64_t>(seed);
-    int64_t batch = args.getInt("batch", 1);
-    if (batch <= 0)
-        util::fatal("--batch must be a positive image count (got " +
-                    std::to_string(batch) + ")");
-    options.batch = static_cast<int>(batch);
+    options.batch = args.getIntAtLeast("batch", 1, 1);
     if (args.has("shard")) {
         std::string shard = args.getString("shard");
         size_t slash = shard.find('/');
@@ -299,10 +295,12 @@ main(int argc, char **argv)
                 i = n = -1;
             }
         }
-        if (i < 0 || n <= 0 || i >= n || parsed_i != slash ||
+        if (i < 0 || n <= 0 || i >= n ||
+            n > std::numeric_limits<int>::max() || parsed_i != slash ||
             parsed_n != shard.size() - slash - 1)
-            util::fatal("--shard must be i/N with 0 <= i < N (got '" +
-                        shard + "')");
+            util::fatal("--shard must be i/N with 0 <= i < N <= " +
+                        std::to_string(std::numeric_limits<int>::max()) +
+                        " (got '" + shard + "')");
         options.shardIndex = static_cast<int>(i);
         options.shardCount = static_cast<int>(n);
     }
