@@ -46,8 +46,6 @@ main(int argc, char **argv)
     report.phase("sweep");
     sim::SweepOptions sweep;
     sweep.threads = opt.threads;
-    sweep.innerThreads = opt.innerThreads;
-    sweep.cache = opt.cache;
     sweep.sample = opt.sample;
     sweep.seed = opt.seed;
     sweep.activations = opt.activations;

@@ -8,15 +8,14 @@
  *                     must be positive — 0 is rejected (only --full
  *                     disables sampling)
  *   --seed=S          workload seed (non-negative)
- *   --networks=a,b    comma-separated subset (default: all six)
+ *   --networks=a,b    comma-separated subset, or all (default: all
+ *                     six)
  *   --layers=K        layer kinds: conv (default) | fc | all
  *   --activations=M   workload class: synthetic (default) |
  *                     propagated (real forward-pass streams; implies
  *                     --layers=all; only benches that price through
  *                     the sweep path support it)
  *   --threads=N       worker threads for sweep-based benches
- *   --inner-threads=N per-cell layer-splitting cap (0 = automatic)
- *   --cache=on|off    share synthesized workloads across the grid
  *   --planes=on|off   serve L=1..3 schedule lengths from the memoized
  *                     cycle planes (results identical either way)
  *   --memory=PRESET   memory-hierarchy preset (off | ideal | dadn |
@@ -172,8 +171,6 @@ struct BenchOptions
     sim::ActivationMode activations = sim::ActivationMode::Synthetic;
     sim::MemoryConfig memory; ///< --memory preset (default: off).
     int threads = 1;
-    int innerThreads = 0;
-    bool cache = true;
     bool smoke = false;
     std::string jsonPath; ///< --json target; empty = no report file.
 
@@ -186,8 +183,7 @@ struct BenchOptions
         util::ArgParser args(argc, argv);
         std::vector<std::string> known = {
             "full", "units", "seed", "networks", "layers",
-            "activations", "memory", "threads", "smoke",
-            "inner-threads", "cache", "planes"};
+            "activations", "memory", "threads", "smoke", "planes"};
         if (supports_json)
             known.push_back("json");
         known.insert(known.end(), extra_flags.begin(),
@@ -244,27 +240,9 @@ struct BenchOptions
         opt.seed = static_cast<uint64_t>(seed);
         opt.threads = args.getIntAtLeast(
             "threads", util::ThreadPool::hardwareThreads(), 1);
-        opt.innerThreads = args.getIntAtLeast("inner-threads", 0, 0);
-        opt.cache = args.getBool("cache", true);
-        std::string list = args.getString("networks", "");
-        if (list.empty() && opt.smoke) {
-            opt.networks.push_back(dnn::makeTinyNetwork(opt.select));
-        } else if (list.empty()) {
-            opt.networks = dnn::makeAllNetworks(opt.select);
-        } else {
-            size_t pos = 0;
-            while (pos != std::string::npos) {
-                size_t comma = list.find(',', pos);
-                std::string name =
-                    list.substr(pos, comma == std::string::npos
-                                         ? std::string::npos
-                                         : comma - pos);
-                if (!name.empty())
-                    opt.networks.push_back(
-                        dnn::makeNetworkByName(name, opt.select));
-                pos = comma == std::string::npos ? comma : comma + 1;
-            }
-        }
+        opt.networks = dnn::parseNetworks(
+            args.getString("networks", opt.smoke ? "tiny" : "all"),
+            opt.select);
         return opt;
     }
 };

@@ -9,8 +9,7 @@
  * parallel sweep grid, optionally exported as CSV.
  *
  *   ./design_space_explorer [--network=vggm] [--units=48]
- *                           [--threads=N] [--inner-threads=N]
- *                           [--cache=on|off] [--csv=FILE] [--smoke]
+ *                           [--threads=N] [--csv=FILE] [--smoke]
  */
 
 #include <cstdio>
@@ -31,8 +30,8 @@ int
 main(int argc, char **argv)
 {
     util::ArgParser args(argc, argv);
-    args.checkUnknown({"network", "units", "full", "threads",
-                       "inner-threads", "cache", "csv", "smoke"});
+    args.checkUnknown({"network", "units", "full", "threads", "csv",
+                       "smoke"});
     bool smoke = args.getBool("smoke");
     dnn::Network net = dnn::makeNetworkByName(
         args.getString("network", smoke ? "tiny" : "vggm"));
@@ -47,8 +46,6 @@ main(int argc, char **argv)
     // idling.
     sweep.threads = args.getIntAtLeast(
         "threads", util::ThreadPool::hardwareThreads(), 1);
-    sweep.innerThreads = args.getIntAtLeast("inner-threads", 0, 0);
-    sweep.cache = args.getBool("cache", true);
 
     // The exploration grid: DaDN baseline, pallet sync over the
     // first-stage shifter width, column sync at L == 2 over SSRs.

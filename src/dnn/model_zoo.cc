@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 
+#include "util/args.h"
 #include "util/check.h"
 #include "util/logging.h"
 
@@ -433,6 +434,19 @@ makeNetworkByName(const std::string &name, LayerSelect select)
                     "selection (it ends in global pooling, not an FC "
                     "tail)");
     return net;
+}
+
+std::vector<Network>
+parseNetworks(const std::string &list, LayerSelect select)
+{
+    if (list == "all")
+        return makeAllNetworks(select);
+    std::vector<Network> networks;
+    for (const auto &name : util::splitList(list))
+        networks.push_back(makeNetworkByName(name, select));
+    if (networks.empty())
+        util::fatal("no networks selected");
+    return networks;
 }
 
 LayerSelect

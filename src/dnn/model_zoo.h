@@ -65,6 +65,14 @@ std::vector<Network> makeAllNetworks(LayerSelect select =
 Network makeNetworkByName(const std::string &name,
                           LayerSelect select = LayerSelect::Conv);
 
+/**
+ * Parse a --networks= value: "all" (makeAllNetworks) or a
+ * comma-separated list of makeNetworkByName() names; fatal() when
+ * the list names no network.
+ */
+std::vector<Network> parseNetworks(const std::string &list,
+                                   LayerSelect select);
+
 /** Names accepted by makeNetworkByName(). */
 std::vector<std::string> networkNames();
 

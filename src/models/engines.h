@@ -42,6 +42,13 @@ std::vector<sim::EngineSelection> paperEngineGrid();
  */
 std::vector<sim::EngineSelection> coreEngineGrid();
 
+/**
+ * Parse an --engines= value: "paper" (paperEngineGrid), "all"
+ * (coreEngineGrid) or a comma-separated list of engine specs
+ * (sim::parseEngineSpec); fatal() when the list names no engine.
+ */
+std::vector<sim::EngineSelection> parseEngines(const std::string &list);
+
 } // namespace models
 } // namespace pra
 

@@ -9,7 +9,7 @@
  * repo's determinism regime needs: the arrival trace is independent
  * of evaluation order, thread count, and how many requests any other
  * component consumed, so serving reports are byte-identical across
- * --threads/--cache and a trace prefix never changes when the
+ * --threads and a trace prefix never changes when the
  * request count grows.
  *
  * Two processes cover the capacity-planning questions the serving

@@ -15,7 +15,7 @@
  * hash, with no wall clock and no shared RNG state. The schedule of
  * instance i is therefore independent of evaluation order, thread
  * count, and every other instance, so faulted serving reports stay
- * byte-identical across --threads/--cache, and a schedule prefix
+ * byte-identical across --threads, and a schedule prefix
  * never changes when the simulated horizon grows.
  *
  * An instance alternates up-windows and repair-windows:

@@ -5,13 +5,13 @@
 #include <cstdio>
 #include <deque>
 #include <iterator>
-#include <memory>
 #include <optional>
 #include <queue>
 #include <tuple>
 #include <utility>
 
 #include "sim/memory/memory_model.h"
+#include "util/args.h"
 #include "util/csv.h"
 #include "util/check.h"
 #include "util/logging.h"
@@ -483,65 +483,26 @@ runServingSweep(const std::vector<dnn::Network> &networks,
                 const EngineRegistry &registry,
                 const ServingSweepOptions &options)
 {
-    PRA_CHECK(!networks.empty() && !engines.empty(),
-              "runServingSweep: empty grid");
     PRA_CHECK(!options.offeredPerSecond.empty(),
               "runServingSweep: no offered rates");
     for (double rate : options.offeredPerSecond)
         PRA_CHECK(rate > 0.0 && rate <= kCyclesPerSecond,
                   "runServingSweep: offered rate must be in "
                   "(0, 1e9] images/s");
-    // Validate every selection up front, as runSweep does.
-    for (const auto &sel : engines)
-        registry.create(sel);
 
+    // Stage 1 — expensive, parallel: cost curves are grid cells, and
+    // every curve is bit-identical across schedules.
     const size_t cells = networks.size() * engines.size();
     std::vector<BatchCostCurve> curves(cells);
-
-    WorkloadCache cache;
-    WorkloadCache *shared = options.cache ? &cache : nullptr;
-
-    auto buildCell = [&](size_t net_idx, size_t eng_idx,
-                         const util::InnerExecutor &exec) {
-        const dnn::Network &network = networks[net_idx];
-        std::unique_ptr<Engine> engine =
-            registry.create(engines[eng_idx]);
-        std::shared_ptr<const dnn::ActivationSynthesizer> synth =
-            shared ? shared->synthesizer(network, options.seed)
-                   : std::make_shared<const dnn::ActivationSynthesizer>(
-                         network, options.seed);
-        WorkloadSource source =
-            shared ? WorkloadSource(*synth, *shared,
-                                    options.activations)
-                   : WorkloadSource(*synth, options.activations);
-        curves[net_idx * engines.size() + eng_idx] =
-            buildBatchCostCurve(network, *engine, source,
-                                options.accel, options.sample, exec,
-                                options.serving.policy.maxBatch);
-    };
-
-    // Stage 1 — expensive, parallel: cost curves fan out like sweep
-    // cells, and every curve is bit-identical across schedules.
-    if (options.threads <= 1) {
-        for (size_t n = 0; n < networks.size(); n++)
-            for (size_t e = 0; e < engines.size(); e++)
-                buildCell(n, e, util::InnerExecutor());
-    } else {
-        util::ThreadPool pool(options.threads);
-        int inner = options.innerThreads;
-        if (inner <= 0)
-            inner = cells >= static_cast<size_t>(options.threads)
-                        ? 1
-                        : static_cast<int>(
-                              (options.threads + cells - 1) / cells);
-        util::InnerExecutor exec(&pool, inner);
-        for (size_t n = 0; n < networks.size(); n++)
-            for (size_t e = 0; e < engines.size(); e++)
-                pool.submit([&buildCell, &exec, n, e] {
-                    buildCell(n, e, exec);
-                });
-        pool.wait();
-    }
+    runGrid(networks, engines, registry, options, 0, cells,
+            [&](size_t cell, const dnn::Network &network,
+                const Engine &engine, const WorkloadSource &source,
+                const util::InnerExecutor &exec) {
+                curves[cell] = buildBatchCostCurve(
+                    network, engine, source, options.accel,
+                    options.sample, exec,
+                    options.serving.policy.maxBatch);
+            });
 
     // Stage 2 — cheap, serial: one event loop per (cell, rate), in
     // fixed report order.
@@ -555,6 +516,29 @@ runServingSweep(const std::vector<dnn::Network> &networks,
         }
     }
     return reports;
+}
+
+std::vector<double>
+parseTraffic(const std::string &list)
+{
+    std::vector<double> rates;
+    for (const auto &item : util::splitList(list)) {
+        double rate = 0.0;
+        size_t parsed = 0;
+        try {
+            rate = std::stod(item, &parsed);
+        } catch (...) {
+            parsed = 0;
+        }
+        if (parsed != item.size() || !(rate > 0.0) ||
+            rate > kCyclesPerSecond)
+            util::fatal("--traffic rates must be positive images/s "
+                        "up to 1e9 (got '" + item + "')");
+        rates.push_back(rate);
+    }
+    if (rates.empty())
+        util::fatal("--traffic lists no rates");
+    return rates;
 }
 
 void

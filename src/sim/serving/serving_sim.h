@@ -31,10 +31,9 @@
  *     faults, the bounded queue and the admission watermark are
  *     rules inside it, not a second path. Single-threaded over a
  *     fixed-order trace: deterministic by construction, so serving
- *     reports are byte-identical across
- *     --threads/--inner-threads/--cache (the parallelism lives in
- *     stage 1, whose results are already bit-identical across
- *     schedules).
+ *     reports are byte-identical across --threads (the parallelism
+ *     lives in stage 1, whose cells run on sim/sweep.h's runGrid and
+ *     are bit-identical across schedules).
  *
  * Latencies (completion - arrival, in cycles) feed a log-spaced
  * util::Histogram; p50/p95/p99 are its conservative bucket bounds.
@@ -58,6 +57,7 @@
 #include "sim/serving/arrival.h"
 #include "sim/serving/batching.h"
 #include "sim/serving/faults.h"
+#include "sim/sweep.h"
 #include "sim/workload_cache.h"
 #include "util/thread_pool.h"
 
@@ -186,16 +186,19 @@ struct ServingReport
 ServingReport simulateServing(const BatchCostCurve &curve,
                               const ServingConfig &config);
 
-/** Options of a serving sweep over (networks x engines x rates). */
-struct ServingSweepOptions
+/**
+ * Parse a --traffic= value: comma-separated offered loads in
+ * images/s, each in (0, kCyclesPerSecond]; fatal() otherwise or
+ * when the list is empty.
+ */
+std::vector<double> parseTraffic(const std::string &list);
+
+/**
+ * Options of a serving sweep over (networks x engines x rates); the
+ * GridOptions drive stage 1 (cost curves).
+ */
+struct ServingSweepOptions : GridOptions
 {
-    int threads = 1;    ///< Workers for cost-curve building.
-    int innerThreads = 0; ///< Layer-splitting subtasks (see sweep.h).
-    bool cache = true;  ///< Share workloads across the grid.
-    AccelConfig accel;  ///< Machine configuration (incl. --memory).
-    SampleSpec sample{64};
-    uint64_t seed = 0x5eed;
-    ActivationMode activations = ActivationMode::Synthetic;
     /** Offered load points (images/s at 1 GHz), one report each. */
     std::vector<double> offeredPerSecond;
     /** Fleet + policy + arrival kind/seed (gap filled per rate). */
@@ -203,8 +206,8 @@ struct ServingSweepOptions
 };
 
 /**
- * Build every (network, engine) cost curve — in parallel on
- * options.threads workers sharing one WorkloadCache — then run the
+ * Build every (network, engine) cost curve on runGrid — in parallel
+ * on options.threads workers sharing one WorkloadCache — then run the
  * (cheap, serial) event loop per offered rate. Reports come back in
  * (network-major, engine, rate) order.
  */

@@ -1,6 +1,5 @@
 #include "sim/sweep.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <memory>
 
@@ -26,109 +25,99 @@ roundTrip(double value)
 }
 
 /**
- * Blocks one cell may split a layer into. An explicit innerThreads
- * wins; automatic mode splits only when the grid alone cannot keep
- * every worker busy, handing each cell its share of the pool.
+ * Blocks one cell may split a layer into: only when the grid alone
+ * cannot keep every worker busy, handing each cell its share of the
+ * pool.
  */
 int
-resolveInnerTasks(const SweepOptions &options, size_t cells)
+resolveInnerTasks(int threads, size_t cells)
 {
-    int threads = std::max(1, options.threads);
-    if (options.innerThreads > 0)
-        return options.innerThreads;
     if (cells >= static_cast<size_t>(threads))
         return 1;
-    return static_cast<int>(
-        (threads + cells - 1) / static_cast<int>(cells));
+    return static_cast<int>((threads + cells - 1) / cells);
 }
 
 } // namespace
+
+void
+runGrid(const std::vector<dnn::Network> &networks,
+        const std::vector<EngineSelection> &engines,
+        const EngineRegistry &registry, const GridOptions &options,
+        size_t first, size_t last, const CellPricer &price)
+{
+    PRA_CHECK(!networks.empty() && !engines.empty(),
+              "runGrid: empty grid");
+    PRA_CHECK(first <= last && last <= networks.size() * engines.size(),
+              "runGrid: cell range out of bounds");
+    // Validate every selection up front so knob errors surface before
+    // any worker starts.
+    for (const auto &sel : engines)
+        registry.create(sel);
+    if (first == last)
+        return;
+
+    WorkloadCache cache;
+    auto runCell = [&](size_t cell, const util::InnerExecutor &exec) {
+        // Each cell builds its own engine and draws its streams from
+        // the grid-wide cache. Streams depend only on (network,
+        // seed), so any schedule yields identical results.
+        const dnn::Network &network = networks[cell / engines.size()];
+        std::unique_ptr<Engine> engine =
+            registry.create(engines[cell % engines.size()]);
+        std::shared_ptr<const dnn::ActivationSynthesizer> synth =
+            cache.synthesizer(network, options.seed);
+        WorkloadSource source(*synth, cache, options.activations);
+        price(cell, network, *engine, source, exec);
+    };
+
+    if (options.threads <= 1) {
+        for (size_t cell = first; cell < last; cell++)
+            runCell(cell, util::InnerExecutor());
+        return;
+    }
+    util::ThreadPool pool(options.threads);
+    util::InnerExecutor exec(&pool,
+                             resolveInnerTasks(options.threads,
+                                               last - first));
+    for (size_t cell = first; cell < last; cell++)
+        pool.submit([&runCell, &exec, cell] { runCell(cell, exec); });
+    pool.wait();
+}
 
 std::vector<NetworkResult>
 runSweep(const std::vector<dnn::Network> &networks,
          const std::vector<EngineSelection> &engines,
          const EngineRegistry &registry, const SweepOptions &options)
 {
-    PRA_CHECK(!networks.empty() && !engines.empty(),
-                         "runSweep: empty grid");
     PRA_CHECK(options.batch >= 1, "runSweep: batch must be >= 1");
     PRA_CHECK(options.shardCount >= 1 && options.shardIndex >= 0 &&
                   options.shardIndex < options.shardCount,
               "runSweep: shard index out of range");
-    // Validate every selection up front so knob errors surface before
-    // any worker starts.
-    for (const auto &sel : engines)
-        registry.create(sel);
-
     const size_t cells = networks.size() * engines.size();
     // The shard's contiguous slice of the grid-order cell list; the
     // balanced-split endpoints make shards 0..N-1 partition the grid
     // exactly, so concatenated shard outputs equal the unsharded run.
-    const size_t shard_first =
-        cells * static_cast<size_t>(options.shardIndex) /
-        static_cast<size_t>(options.shardCount);
-    const size_t shard_last =
-        cells * (static_cast<size_t>(options.shardIndex) + 1) /
-        static_cast<size_t>(options.shardCount);
-    std::vector<NetworkResult> results(shard_last - shard_first);
     // More shards than cells leaves some shards empty; header-only
     // CSV output is exactly what concatenation expects from them.
-    if (results.empty())
-        return results;
-
-    WorkloadCache cache;
-    WorkloadCache *shared = options.cache ? &cache : nullptr;
-
-    auto runCell = [&](size_t net_idx, size_t eng_idx,
-                       const util::InnerExecutor &exec) {
-        // Each job builds its own engine; the workload source is
-        // either private (cache off: streams rebuilt per cell) or
-        // backed by the sweep-wide cache. Streams depend only on
-        // (network, seed), so both modes and any schedule yield
-        // identical results.
-        const dnn::Network &network = networks[net_idx];
-        std::unique_ptr<Engine> engine =
-            registry.create(engines[eng_idx]);
-        std::shared_ptr<const dnn::ActivationSynthesizer> synth =
-            shared ? shared->synthesizer(network, options.seed)
-                   : std::make_shared<const dnn::ActivationSynthesizer>(
-                         network, options.seed);
-        WorkloadSource source =
-            shared ? WorkloadSource(*synth, *shared,
-                                    options.activations)
-                   : WorkloadSource(*synth, options.activations);
-        NetworkResult &cell =
-            results[net_idx * engines.size() + eng_idx - shard_first];
-        cell = engine->runBatch(network, source, options.accel,
-                                options.sample, exec, options.batch);
-        // Compose compute cycles with the memory hierarchy (no-op
-        // when --memory=off). Pure per-layer arithmetic over the
-        // finished result, so any schedule stays bit-identical.
-        applyMemoryModel(network, options.accel, cell);
-    };
-
-    auto inShard = [&](size_t n, size_t e) {
-        size_t cell = n * engines.size() + e;
-        return cell >= shard_first && cell < shard_last;
-    };
-
-    const int inner = resolveInnerTasks(options, results.size());
-    if (options.threads <= 1 && inner <= 1) {
-        for (size_t n = 0; n < networks.size(); n++)
-            for (size_t e = 0; e < engines.size(); e++)
-                if (inShard(n, e))
-                    runCell(n, e, util::InnerExecutor());
-    } else {
-        util::ThreadPool pool(options.threads);
-        util::InnerExecutor exec(&pool, inner);
-        for (size_t n = 0; n < networks.size(); n++)
-            for (size_t e = 0; e < engines.size(); e++)
-                if (inShard(n, e))
-                    pool.submit([&runCell, &exec, n, e] {
-                        runCell(n, e, exec);
-                    });
-        pool.wait();
-    }
+    const size_t first = cells * static_cast<size_t>(options.shardIndex) /
+                         static_cast<size_t>(options.shardCount);
+    const size_t last =
+        cells * (static_cast<size_t>(options.shardIndex) + 1) /
+        static_cast<size_t>(options.shardCount);
+    std::vector<NetworkResult> results(last - first);
+    runGrid(networks, engines, registry, options, first, last,
+            [&](size_t cell, const dnn::Network &network,
+                const Engine &engine, const WorkloadSource &source,
+                const util::InnerExecutor &exec) {
+                NetworkResult &result = results[cell - first];
+                result = engine.runBatch(network, source, options.accel,
+                                         options.sample, exec,
+                                         options.batch);
+                // Compose compute cycles with the memory hierarchy
+                // (no-op when --memory=off): pure per-layer
+                // arithmetic over the finished result.
+                applyMemoryModel(network, options.accel, result);
+            });
     return results;
 }
 

@@ -1,26 +1,26 @@
 /**
  * @file
- * Parallel (network x engine) sweep driver with a shared workload
- * cache and two-level scheduling.
+ * The grid driver: every (network x engine) cell of a grid priced on
+ * a worker pool, with one shared workload cache.
  *
- * A sweep fans the full grid of (model-zoo network, engine variant)
- * jobs out across a worker pool and collects one NetworkResult per
- * cell. All cells of a grid draw their synthesized streams from one
- * WorkloadCache (unless disabled), so each distinct (network,
- * representation, trim, seed) workload is built exactly once no
- * matter how many engines consume it.
+ * runGrid is the one cell scheduler. It gives each cell its own
+ * engine and a WorkloadSource backed by the grid's WorkloadCache, so
+ * each distinct (network, representation, trim, seed) workload is
+ * built exactly once no matter how many engines consume it. runSweep
+ * prices a cell as Engine::runBatch plus the memory model; the
+ * serving sweep (sim/serving/serving_sim.h) prices it as a batch
+ * cost curve.
  *
  * Scheduling is two-level: grid cells fan out across the pool, and
  * when the grid alone cannot occupy every worker (fewer cells than
- * threads) each cell may additionally split large layers into pallet
+ * threads) each cell additionally splits large layers into pallet
  * blocks on the same pool (see InnerExecutor).
  *
- * Determinism: streams depend only on (network, seed) — identical
- * whether cached or rebuilt — results are stored by grid position
- * (network-major, engine-minor), and block splits combine exact
- * integer partials in block order, so the output is bit-identical
- * for any thread count, any inner-thread count, and with the cache
- * on or off.
+ * Determinism: streams depend only on (network, seed), results are
+ * stored by grid position (network-major, engine-minor), and block
+ * splits combine exact integer partials in block order, so the
+ * output is bit-identical for any thread count and equal to pricing
+ * each cell serially on uncached workloads.
  *
  * When options.accel.memory is enabled (--memory=<preset>), every
  * cell's compute result is composed with the memory-hierarchy model
@@ -32,6 +32,7 @@
 
 #pragma once
 
+#include <functional>
 #include <ostream>
 #include <vector>
 
@@ -41,22 +42,15 @@
 #include "sim/layer_result.h"
 #include "sim/sampling.h"
 #include "sim/workload_cache.h"
+#include "util/thread_pool.h"
 
 namespace pra {
 namespace sim {
 
-/** Options shared by every job of a sweep. */
-struct SweepOptions
+/** Options every grid driver shares. */
+struct GridOptions
 {
     int threads = 1;          ///< Worker threads (<= 1: sequential).
-    /**
-     * Layer-splitting subtasks each cell may fan out on the shared
-     * pool: 0 picks automatically (split only when the grid has
-     * fewer cells than threads), 1 disables inner parallelism, N
-     * allows up to N blocks per layer.
-     */
-    int innerThreads = 0;
-    bool cache = true;        ///< Share workloads across the grid.
     AccelConfig accel;        ///< Machine configuration.
     SampleSpec sample{64};    ///< Per-layer sampling cap.
     uint64_t seed = 0x5eed;   ///< Activation-synthesis seed.
@@ -67,6 +61,33 @@ struct SweepOptions
      * LayerSelect::All with pools). See sim/workload_cache.h.
      */
     ActivationMode activations = ActivationMode::Synthetic;
+};
+
+/**
+ * Prices grid cell @p cell (grid-order index: network-major,
+ * engine-minor) of @p network on a fresh @p engine, drawing workloads
+ * from @p source and splitting layers across @p exec.
+ */
+using CellPricer = std::function<void(
+    size_t cell, const dnn::Network &network, const Engine &engine,
+    const WorkloadSource &source, const util::InnerExecutor &exec)>;
+
+/**
+ * Price cells [first, last) of the (networks x engines) grid with
+ * @p price: serially on this thread when options.threads <= 1, else
+ * on a pool of options.threads workers, layers splitting only when
+ * the cells cannot occupy every worker. Engine selections are
+ * validated (instantiated once) before any cell runs, so bad knobs
+ * fail fast. @p price must store its result by cell index.
+ */
+void runGrid(const std::vector<dnn::Network> &networks,
+             const std::vector<EngineSelection> &engines,
+             const EngineRegistry &registry, const GridOptions &options,
+             size_t first, size_t last, const CellPricer &price);
+
+/** Options of a sweep over (networks x engines). */
+struct SweepOptions : GridOptions
+{
     /**
      * Images per request: every cell runs Engine::runBatch over this
      * many per-image streams and reports per-batch totals (plus the
@@ -90,8 +111,7 @@ struct SweepOptions
  * Run the (networks x engines) grid — or, when options selects a
  * shard, its contiguous slice. Returns one NetworkResult per covered
  * cell in grid order: all engines of networks[0], then networks[1],
- * ... Engine selections are validated (instantiated once) before any
- * worker starts, so bad knobs fail fast.
+ * ... Cells are priced by runGrid.
  */
 std::vector<NetworkResult>
 runSweep(const std::vector<dnn::Network> &networks,

@@ -10,8 +10,8 @@
  * one reference forward pass (dnn/propagate.h) per (network, seed):
  * the chain is built exactly once per cache no matter how many
  * engines and layers consume it, and an uncached source memoizes its
- * own — so results are identical across thread counts and with the
- * cache on or off.
+ * own — so results are identical across thread counts and between
+ * cached and uncached sources.
  *
  * Every value-dependent engine in a sweep grid consumes some
  * synthesized stream of each layer — convolutional or
@@ -306,9 +306,10 @@ class WorkloadCache
  * Where one simulation run's workloads come from: a synthesizer (and
  * activation mode), optionally backed by a shared cache. Uncached
  * sources rebuild workloads on every request — exactly the same
- * values, just not shared — so results are byte-identical with the
- * cache on or off; an uncached propagated source memoizes its own
- * forward pass (one chain per source, not per layer request).
+ * values, just not shared — so they serve as the reference the
+ * cached grid is tested against; an uncached propagated source
+ * memoizes its own forward pass (one chain per source, not per layer
+ * request).
  *
  * A source is consumed from the one thread driving its grid cell;
  * the chain memo is not synchronized (the shared cache is).

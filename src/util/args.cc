@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <limits>
+#include <sstream>
 
 #include "util/logging.h"
 
@@ -40,15 +41,23 @@ ArgParser::ArgParser(int argc, const char *const *argv)
     for (int i = 1; i < argc; i++) {
         std::string arg = argv[i];
         if (arg.rfind("--", 0) != 0) {
-            positional_.push_back(arg);
+            // Most likely the value half of "--name value"; keep the
+            // first for checkUnknown() to reject with a hint.
+            if (stray_.empty()) {
+                std::string prev = i > 1 ? argv[i - 1] : "";
+                stray_ = "unexpected argument '" + arg + "'";
+                stray_ += prev.rfind("--", 0) == 0 &&
+                                  prev.find('=') == std::string::npos
+                              ? " (did you mean " + prev + "=" + arg +
+                                    "?)"
+                              : "; flags take values as --name=value";
+            }
             continue;
         }
         std::string body = arg.substr(2);
         if (body.empty())
             fatal("empty flag name: '" + arg + "'");
-        // Values attach with '='; a bare "--name" is a boolean. The
-        // "--name value" form is deliberately unsupported: it is
-        // ambiguous against positional arguments.
+        // Values attach with '='; a bare "--name" is a boolean.
         auto eq = body.find('=');
         if (eq != std::string::npos)
             flags_[body.substr(0, eq)] = body.substr(eq + 1);
@@ -60,6 +69,8 @@ ArgParser::ArgParser(int argc, const char *const *argv)
 void
 ArgParser::checkUnknown(const std::vector<std::string> &known) const
 {
+    if (!stray_.empty())
+        fatal(stray_);
     for (const auto &[name, value] : flags_) {
         (void)value;
         if (std::find(known.begin(), known.end(), name) != known.end())
@@ -150,6 +161,18 @@ ArgParser::getBool(const std::string &name, bool fallback) const
     if (v == "false" || v == "0" || v == "no" || v == "off")
         return false;
     fatal("flag --" + name + " expects a boolean, got '" + v + "'");
+}
+
+std::vector<std::string>
+splitList(const std::string &list)
+{
+    std::vector<std::string> items;
+    std::istringstream in(list);
+    std::string item;
+    while (std::getline(in, item, ','))
+        if (!item.empty())
+            items.push_back(item);
+    return items;
 }
 
 } // namespace util

@@ -3,12 +3,13 @@
  * A tiny command-line flag parser shared by benches and examples.
  *
  * Flags look like "--name=value"; bare "--name" sets a boolean.
- * Anything else is a positional argument. ("--name value" is
- * deliberately unsupported: it is ambiguous against positionals.)
+ * "--name value" is deliberately unsupported: no front end takes
+ * positional arguments, so checkUnknown() rejects the stray "value"
+ * instead of silently ignoring it.
  *
  * Programs declare the flags they understand with checkUnknown():
- * a misspelled flag ("--smke") then fails loudly instead of silently
- * running with defaults.
+ * a misspelled flag ("--smke") or a stray argument then fails loudly
+ * instead of silently running with defaults.
  */
 
 #pragma once
@@ -56,24 +57,25 @@ class ArgParser
     bool getBool(const std::string &name, bool fallback = false) const;
 
     /**
-     * fatal() when any parsed flag is not in @p known — call once,
-     * after construction, with every flag the program understands.
-     * The error names the closest known flag when one is plausible.
+     * fatal() when any parsed flag is not in @p known, or when an
+     * argument is not a flag at all — call once, after construction,
+     * with every flag the program understands. The error names the
+     * closest known flag when one is plausible, and suggests the
+     * "--name=value" form for a stray argument.
      */
     void checkUnknown(const std::vector<std::string> &known) const;
-
-    const std::vector<std::string> &positional() const
-    {
-        return positional_;
-    }
 
     const std::string &programName() const { return program_; }
 
   private:
     std::string program_;
     std::map<std::string, std::string> flags_;
-    std::vector<std::string> positional_;
+    /** Why the first non-flag argument was rejected ("": none seen). */
+    std::string stray_;
 };
+
+/** Split a comma-separated list, dropping empty items. */
+std::vector<std::string> splitList(const std::string &list);
 
 } // namespace util
 } // namespace pra

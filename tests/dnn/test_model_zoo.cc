@@ -134,6 +134,21 @@ TEST(ModelZoo, UnknownNameIsFatal)
     EXPECT_DEATH(makeNetworkByName("resnet"), "unknown network");
 }
 
+TEST(ModelZoo, ParseNetworks)
+{
+    EXPECT_EQ(parseNetworks("all", LayerSelect::Conv).size(), 6u);
+    // NiN and GoogLeNet have no FC tail, as in makeAllNetworks.
+    EXPECT_EQ(parseNetworks("all", LayerSelect::Fc).size(), 4u);
+    auto picked = parseNetworks("tiny,,vgg19", LayerSelect::Conv);
+    ASSERT_EQ(picked.size(), 2u);
+    EXPECT_EQ(picked[0].name, "Tiny");
+    EXPECT_EQ(picked[1].name, "VGG_19");
+    EXPECT_DEATH(parseNetworks(",", LayerSelect::Conv),
+                 "no networks selected");
+    EXPECT_DEATH(parseNetworks("tiny,resnet", LayerSelect::Conv),
+                 "unknown network 'resnet'");
+}
+
 TEST(ModelZoo, TinyNetworkIsSmallAndValid)
 {
     auto net = makeTinyNetwork();

@@ -21,6 +21,7 @@
 #include "models/engines.h"
 #include "sim/engine_registry.h"
 #include "sim/sweep.h"
+#include "support/grid_oracle.h"
 
 namespace pra {
 namespace models {
@@ -201,29 +202,30 @@ TEST(FcLowering, StreamsAreSelectionInvariant)
 TEST(FcLowering, SweepGridMixesKindsDeterministically)
 {
     // An FC-bearing network through the full parallel sweep path:
-    // thread counts and cache modes must stay bit-identical (the
-    // same guarantee the conv sweep makes).
+    // every thread count must be bit-identical to the serial
+    // uncached oracle (the same guarantee the conv sweep makes).
     std::vector<dnn::Network> networks = {fcNetwork()};
     std::vector<sim::EngineSelection> grid;
     for (const auto &kind : builtinEngines().kinds())
         grid.push_back({kind, {}});
 
-    sim::SweepOptions seq;
-    seq.threads = 1;
-    seq.sample.maxUnits = 2;
-    sim::SweepOptions par = seq;
-    par.threads = 4;
-    par.cache = false;
-
-    auto a = runSweep(networks, grid, builtinEngines(), seq);
-    auto b = runSweep(networks, grid, builtinEngines(), par);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); i++) {
-        ASSERT_EQ(a[i].layers.size(), b[i].layers.size());
-        for (size_t l = 0; l < a[i].layers.size(); l++) {
-            EXPECT_EQ(a[i].layers[l].cycles, b[i].layers[l].cycles);
-            EXPECT_EQ(a[i].layers[l].effectualTerms,
-                      b[i].layers[l].effectualTerms);
+    sim::SweepOptions options;
+    options.sample.maxUnits = 2;
+    auto oracle =
+        sim::uncachedSweep(networks, grid, builtinEngines(), options);
+    for (int threads : {1, 4}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        options.threads = threads;
+        auto b = runSweep(networks, grid, builtinEngines(), options);
+        ASSERT_EQ(oracle.size(), b.size());
+        for (size_t i = 0; i < oracle.size(); i++) {
+            ASSERT_EQ(oracle[i].layers.size(), b[i].layers.size());
+            for (size_t l = 0; l < oracle[i].layers.size(); l++) {
+                EXPECT_EQ(oracle[i].layers[l].cycles,
+                          b[i].layers[l].cycles);
+                EXPECT_EQ(oracle[i].layers[l].effectualTerms,
+                          b[i].layers[l].effectualTerms);
+            }
         }
     }
 }

@@ -363,26 +363,31 @@ TEST(Shard, CsvBodiesConcatenateByteIdentically)
 TEST(Shard, MoreShardsThanCellsYieldsEmptySlices)
 {
     // A 1x2 grid split 5 ways: three shards are empty, and the
-    // concatenation still reproduces the full sweep.
+    // concatenation still reproduces the full sweep — serially and
+    // on a pool (an empty slice must not size a layer split).
     std::vector<dnn::Network> networks = {dnn::makeTinyNetwork()};
     std::vector<EngineSelection> grid = {{"dadn", {}},
                                          {"stripes", {}}};
     auto full = runSweep(networks, grid, models::builtinEngines(),
                          tinyOptions(1));
-    std::vector<NetworkResult> concat;
-    size_t empty_slices = 0;
-    for (int i = 0; i < 5; i++) {
-        SweepOptions options = tinyOptions(1);
-        options.shardIndex = i;
-        options.shardCount = 5;
-        auto slice = runSweep(networks, grid,
-                              models::builtinEngines(), options);
-        if (slice.empty())
-            empty_slices++;
-        concat.insert(concat.end(), slice.begin(), slice.end());
+    for (int threads : {1, 4}) {
+        std::vector<NetworkResult> concat;
+        size_t empty_slices = 0;
+        for (int i = 0; i < 5; i++) {
+            SweepOptions options = tinyOptions(threads);
+            options.shardIndex = i;
+            options.shardCount = 5;
+            auto slice = runSweep(networks, grid,
+                                  models::builtinEngines(), options);
+            if (slice.empty())
+                empty_slices++;
+            concat.insert(concat.end(), slice.begin(), slice.end());
+        }
+        EXPECT_EQ(empty_slices, 3u);
+        expectSameResults(full, concat,
+                          "shards=5 cells=2 threads=" +
+                              std::to_string(threads));
     }
-    EXPECT_EQ(empty_slices, 3u);
-    expectSameResults(full, concat, "shards=5 cells=2");
 }
 
 TEST(BatchDeathTest, RejectsDegenerateBatchAndShard)

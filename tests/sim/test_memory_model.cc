@@ -16,6 +16,7 @@
 #include "sim/memory/memory_config.h"
 #include "sim/memory/memory_model.h"
 #include "sim/sweep.h"
+#include "support/grid_oracle.h"
 
 using namespace pra;
 using namespace pra::sim;
@@ -316,7 +317,7 @@ TEST(MemorySweepTest, IdealMatchesComputeOnlyExactly)
     }
 }
 
-TEST(MemorySweepTest, DeterministicAcrossThreadsCacheAndInner)
+TEST(MemorySweepTest, MatchesUncachedOracleAcrossThreadsAndSplits)
 {
     std::vector<dnn::Network> networks = {
         dnn::makeTinyNetwork(dnn::LayerSelect::All)};
@@ -324,22 +325,27 @@ TEST(MemorySweepTest, DeterministicAcrossThreadsCacheAndInner)
     const auto &registry = models::builtinEngines();
 
     SweepOptions base = memorySweepOptions("dadn");
-    auto reference = runSweep(networks, engines, registry, base);
-    std::string golden = sweepCsv(reference, /*per_layer=*/true);
+    std::string golden = sweepCsv(
+        uncachedSweep(networks, engines, registry, base),
+        /*per_layer=*/true);
     EXPECT_NE(golden.find("on_chip_bytes"), std::string::npos);
 
     SweepOptions threaded = base;
     threaded.threads = 4;
-    SweepOptions inner = base;
-    inner.threads = 4;
-    inner.innerThreads = 3;
-    SweepOptions uncached = base;
-    uncached.threads = 4;
-    uncached.cache = false;
-    for (const SweepOptions &options : {threaded, inner, uncached}) {
-        auto results = runSweep(networks, engines, registry, options);
-        EXPECT_EQ(sweepCsv(results, /*per_layer=*/true), golden);
-    }
+    for (const SweepOptions &options : {base, threaded})
+        EXPECT_EQ(sweepCsv(runSweep(networks, engines, registry,
+                                    options),
+                           /*per_layer=*/true),
+                  golden);
+    util::ThreadPool pool(4);
+    for (int inner : {2, 3, 5})
+        EXPECT_EQ(sweepCsv(uncachedSweep(networks, engines, registry,
+                                         base,
+                                         util::InnerExecutor(&pool,
+                                                             inner)),
+                           /*per_layer=*/true),
+                  golden)
+            << "inner=" << inner;
 }
 
 TEST(MemorySweepTest, CsvColumnsGatedOnMemoryModeling)

@@ -17,6 +17,7 @@
 #include "sim/memory/memory_config.h"
 #include "sim/memory/memory_model.h"
 #include "sim/serving/serving_sim.h"
+#include "support/grid_oracle.h"
 #include "util/random.h"
 #include "util/stats.h"
 
@@ -310,7 +311,15 @@ smokeOptions(int threads)
     return options;
 }
 
-TEST(ServingSweep, CsvByteIdenticalAcrossThreadsAndCache)
+std::string
+servingCsv(const std::vector<ServingReport> &reports)
+{
+    std::ostringstream csv;
+    writeServingCsv(csv, reports);
+    return csv.str();
+}
+
+TEST(ServingSweep, CsvMatchesUncachedOracleAcrossThreads)
 {
     std::vector<dnn::Network> networks = {dnn::makeTinyNetwork()};
     auto grid = allKindsGrid();
@@ -318,27 +327,14 @@ TEST(ServingSweep, CsvByteIdenticalAcrossThreadsAndCache)
     // determinism as the defaults.
     grid.push_back(
         parseEngineSpec("dynamic_stripes:granularity=4:column-regs=2"));
-    auto serial = runServingSweep(networks, grid,
-                                  models::builtinEngines(),
-                                  smokeOptions(1));
-    std::ostringstream serial_csv;
-    writeServingCsv(serial_csv, serial);
-
-    auto parallel = runServingSweep(networks, grid,
-                                    models::builtinEngines(),
-                                    smokeOptions(4));
-    std::ostringstream parallel_csv;
-    writeServingCsv(parallel_csv, parallel);
-    EXPECT_EQ(serial_csv.str(), parallel_csv.str());
-
-    ServingSweepOptions uncached = smokeOptions(4);
-    uncached.cache = false;
-    auto no_cache = runServingSweep(networks, grid,
-                                    models::builtinEngines(),
-                                    uncached);
-    std::ostringstream no_cache_csv;
-    writeServingCsv(no_cache_csv, no_cache);
-    EXPECT_EQ(serial_csv.str(), no_cache_csv.str());
+    const auto &registry = models::builtinEngines();
+    const std::string oracle = servingCsv(
+        uncachedServingSweep(networks, grid, registry, smokeOptions(1)));
+    for (int threads : {1, 4})
+        EXPECT_EQ(servingCsv(runServingSweep(networks, grid, registry,
+                                             smokeOptions(threads))),
+                  oracle)
+            << "threads=" << threads;
 }
 
 TEST(ServingSweep, ReportsFollowGridThenRateOrder)
@@ -809,13 +805,14 @@ TEST(ServingCsv, DegradedColumnsAppearOnlyWhenConfigured)
     EXPECT_NE(mixed_csv.str().find("mtbf_cycles"), std::string::npos);
 }
 
-TEST(ServingSweep, FaultedCsvByteIdenticalAcrossThreadsAndCache)
+TEST(ServingSweep, FaultedCsvMatchesUncachedOracleAcrossThreads)
 {
     // Fault schedules are counter-based pure functions, so a faulted
-    // sweep must stay byte-identical across worker counts and cache
-    // modes just like the fault-free one.
+    // sweep must match the serial uncached oracle at any worker
+    // count just like the fault-free one.
     std::vector<dnn::Network> networks = {dnn::makeTinyNetwork()};
     auto grid = allKindsGrid();
+    const auto &registry = models::builtinEngines();
     auto fault = [](ServingSweepOptions options) {
         options.serving.faults.mtbfCycles = 2000000;
         options.serving.faults.mttrCycles = 500000;
@@ -823,29 +820,14 @@ TEST(ServingSweep, FaultedCsvByteIdenticalAcrossThreadsAndCache)
         options.serving.instances = 2;
         return options;
     };
-    auto serial = runServingSweep(networks, grid,
-                                  models::builtinEngines(),
-                                  fault(smokeOptions(1)));
-    std::ostringstream serial_csv;
-    writeServingCsv(serial_csv, serial);
-    EXPECT_NE(serial_csv.str().find("mtbf_cycles"),
-              std::string::npos);
-
-    auto parallel = runServingSweep(networks, grid,
-                                    models::builtinEngines(),
-                                    fault(smokeOptions(4)));
-    std::ostringstream parallel_csv;
-    writeServingCsv(parallel_csv, parallel);
-    EXPECT_EQ(serial_csv.str(), parallel_csv.str());
-
-    ServingSweepOptions uncached = fault(smokeOptions(4));
-    uncached.cache = false;
-    auto no_cache = runServingSweep(networks, grid,
-                                    models::builtinEngines(),
-                                    uncached);
-    std::ostringstream no_cache_csv;
-    writeServingCsv(no_cache_csv, no_cache);
-    EXPECT_EQ(serial_csv.str(), no_cache_csv.str());
+    const std::string oracle = servingCsv(uncachedServingSweep(
+        networks, grid, registry, fault(smokeOptions(1))));
+    EXPECT_NE(oracle.find("mtbf_cycles"), std::string::npos);
+    for (int threads : {1, 4})
+        EXPECT_EQ(servingCsv(runServingSweep(networks, grid, registry,
+                                             fault(smokeOptions(threads)))),
+                  oracle)
+            << "threads=" << threads;
 }
 
 TEST(ServingFaultsDeathTest, RejectsDegenerateDegradedConfigs)

@@ -14,6 +14,7 @@
 #include "models/engines.h"
 #include "models/stripes/stripes.h"
 #include "sim/sweep.h"
+#include "support/grid_oracle.h"
 
 namespace pra {
 namespace sim {
@@ -106,6 +107,19 @@ TEST(EngineRegistry, ParseEngineSpec)
     EXPECT_TRUE(bare.knobs.empty());
 }
 
+TEST(EngineRegistry, ParseEngines)
+{
+    EXPECT_EQ(models::parseEngines("paper").size(),
+              models::paperEngineGrid().size());
+    EXPECT_EQ(models::parseEngines("all").size(),
+              models::coreEngineGrid().size());
+    auto picked = models::parseEngines("dadn,,pragmatic:bits=3");
+    ASSERT_EQ(picked.size(), 2u);
+    EXPECT_EQ(picked[0].kind, "dadn");
+    EXPECT_EQ(picked[1].knobs.at("bits"), "3");
+    EXPECT_DEATH(models::parseEngines(","), "no engines selected");
+}
+
 TEST(EngineRegistryDeathTest, RejectsUnknownKindAndKnob)
 {
     const auto &registry = models::builtinEngines();
@@ -171,41 +185,23 @@ TEST(EngineAdapters, TermsTrimmingMatchesSynthesizer)
     EXPECT_DOUBLE_EQ(via_engine.totalCycles(), expected);
 }
 
-TEST(Sweep, ParallelBitIdenticalToSequential)
+TEST(Sweep, MatchesUncachedSerialOracle)
 {
-    // Two zoo networks, every engine kind: a 4-thread sweep must be
-    // bit-identical to the single-threaded one, field by field.
+    // Two zoo networks, every engine kind: the grid's shared
+    // workload cache and pool only share synthesis and schedule
+    // cells, so results must be bit-identical, field by field, to
+    // pricing each cell serially on uncached workloads.
     std::vector<dnn::Network> networks = {dnn::makeTinyNetwork(),
                                           dnn::makeAlexNet()};
     auto grid = allKindsGrid();
-    auto seq = runSweep(networks, grid, models::builtinEngines(),
-                        tinyOptions(1));
-    auto par = runSweep(networks, grid, models::builtinEngines(),
-                        tinyOptions(4));
-    expectSameResults(seq, par, "threads=4");
-}
-
-TEST(Sweep, CacheOnAndOffBitIdentical)
-{
-    // The workload cache only shares synthesis; results must be
-    // byte-identical with it on or off, sequential and parallel.
-    std::vector<dnn::Network> networks = {dnn::makeTinyNetwork()};
-    auto grid = allKindsGrid();
-    SweepOptions cached = tinyOptions(1);
-    ASSERT_TRUE(cached.cache); // Shared workloads are the default.
-    SweepOptions uncached = tinyOptions(1);
-    uncached.cache = false;
-    auto with = runSweep(networks, grid, models::builtinEngines(),
-                         cached);
-    auto without = runSweep(networks, grid, models::builtinEngines(),
-                            uncached);
-    expectSameResults(with, without, "cache=off");
-
-    SweepOptions uncached_par = tinyOptions(4);
-    uncached_par.cache = false;
-    auto without_par = runSweep(networks, grid,
-                                models::builtinEngines(), uncached_par);
-    expectSameResults(with, without_par, "cache=off threads=4");
+    auto oracle = uncachedSweep(networks, grid, models::builtinEngines(),
+                                tinyOptions(1));
+    for (int threads : {1, 4})
+        expectSameResults(oracle,
+                          runSweep(networks, grid,
+                                   models::builtinEngines(),
+                                   tinyOptions(threads)),
+                          "threads=" + std::to_string(threads));
 }
 
 TEST(Sweep, CyclePlanesOffByteIdenticalCsv)
@@ -238,40 +234,35 @@ TEST(Sweep, CyclePlanesOffByteIdenticalCsv)
     EXPECT_EQ(with_csv.str(), without_csv.str());
 }
 
-TEST(Sweep, PropagatedModeDeterministicAcrossThreadsAndCache)
+TEST(Sweep, PropagatedModeMatchesUncachedOracle)
 {
     // Propagated-mode invariants: the forward-pass workloads must be
     // bit-identical whether the chain is built once in the shared
-    // cache, rebuilt per cell with the cache off, or raced by four
-    // workers. The network must be the full pipeline (pools + fc).
+    // cache and raced by four workers, or rebuilt per cell by the
+    // serial uncached oracle, with or without block splits. The
+    // network must be the full pipeline (pools + fc).
     std::vector<dnn::Network> networks = {
         dnn::makeTinyNetwork(dnn::LayerSelect::All)};
     auto grid = allKindsGrid();
     SweepOptions base = tinyOptions(1);
     base.activations = ActivationMode::Propagated;
-    auto seq = runSweep(networks, grid, models::builtinEngines(),
-                        base);
+    const auto &registry = models::builtinEngines();
+    auto oracle = uncachedSweep(networks, grid, registry, base);
 
+    expectSameResults(oracle, runSweep(networks, grid, registry, base),
+                      "propagated threads=1");
     SweepOptions par = base;
     par.threads = 4;
-    expectSameResults(seq,
-                      runSweep(networks, grid,
-                               models::builtinEngines(), par),
+    expectSameResults(oracle, runSweep(networks, grid, registry, par),
                       "propagated threads=4");
 
-    SweepOptions uncached = base;
-    uncached.cache = false;
-    expectSameResults(seq,
-                      runSweep(networks, grid,
-                               models::builtinEngines(), uncached),
-                      "propagated cache=off");
-
-    SweepOptions inner = par;
-    inner.innerThreads = 4;
-    expectSameResults(seq,
-                      runSweep(networks, grid,
-                               models::builtinEngines(), inner),
-                      "propagated inner-threads=4");
+    util::ThreadPool pool(4);
+    for (int inner : {2, 3, 5})
+        expectSameResults(oracle,
+                          uncachedSweep(networks, grid, registry, base,
+                                        util::InnerExecutor(&pool,
+                                                            inner)),
+                          "propagated inner=" + std::to_string(inner));
 }
 
 TEST(Sweep, PropagatedModeDiffersFromSyntheticDownstream)
@@ -310,25 +301,26 @@ TEST(Sweep, PropagatedModeDiffersFromSyntheticDownstream)
 TEST(Sweep, InvariantAcrossInnerThreadCounts)
 {
     // Pallet-block splitting inside a cell must not change a bit:
-    // compare the serial sweep against small grids (fewer cells than
+    // compare the serial sweep against a small grid (fewer cells than
     // workers, so the automatic policy actually splits) and against
-    // forced inner-thread counts.
+    // forced block counts.
     std::vector<dnn::Network> networks = {dnn::makeTinyNetwork()};
     std::vector<EngineSelection> grid = {
         {"pragmatic", {{"bits", "2"}}},
         {"pragmatic-col", {{"bits", "2"}, {"ssr", "1"}}}};
-    SweepOptions serial = tinyOptions(1);
-    serial.innerThreads = 1;
-    auto base = runSweep(networks, grid, models::builtinEngines(),
-                         serial);
-    for (int inner : {0, 2, 5}) {
-        SweepOptions split = tinyOptions(4);
-        split.innerThreads = inner;
-        auto result = runSweep(networks, grid,
-                               models::builtinEngines(), split);
-        expectSameResults(base, result,
+    const auto &registry = models::builtinEngines();
+    auto base = runSweep(networks, grid, registry, tinyOptions(1));
+    expectSameResults(base,
+                      runSweep(networks, grid, registry, tinyOptions(4)),
+                      "automatic split");
+    util::ThreadPool pool(4);
+    for (int inner : {2, 3, 5})
+        expectSameResults(base,
+                          uncachedSweep(networks, grid, registry,
+                                        tinyOptions(1),
+                                        util::InnerExecutor(&pool,
+                                                            inner)),
                           "inner=" + std::to_string(inner));
-    }
 }
 
 TEST(Sweep, CsvDeterministicallyOrdered)

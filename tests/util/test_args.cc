@@ -26,15 +26,24 @@ TEST(ArgParser, EqualsForm)
     EXPECT_EQ(args.getInt("pallets", 0), 64);
 }
 
-TEST(ArgParser, SpaceFormIsPositionalNotValue)
+TEST(ArgParserDeathTest, SpaceFormIsRejected)
 {
-    // "--name value" is ambiguous against positionals, so the value
-    // stays positional and the flag is boolean.
-    auto args = parse({"--network", "vgg19"});
-    EXPECT_TRUE(args.has("network"));
-    EXPECT_EQ(args.getString("network"), "");
-    ASSERT_EQ(args.positional().size(), 1u);
-    EXPECT_EQ(args.positional()[0], "vgg19");
+    // Regression: "--csv out.csv" used to parse as a boolean --csv
+    // plus an ignored positional, so the run wrote no file and still
+    // exited 0. The stray value is now fatal, with the fix spelled
+    // out.
+    auto args = parse({"--smoke", "--csv", "out.csv"});
+    EXPECT_DEATH(args.checkUnknown({"smoke", "csv"}),
+                 "unexpected argument 'out.csv' \\(did you mean "
+                 "--csv=out.csv\\?\\)");
+}
+
+TEST(ArgParserDeathTest, StrayArgumentIsRejected)
+{
+    auto args = parse({"alexnet", "--full"});
+    EXPECT_DEATH(args.checkUnknown({"full"}),
+                 "unexpected argument 'alexnet'; flags take values as "
+                 "--name=value");
 }
 
 TEST(ArgParser, BareBooleanFlag)
@@ -57,8 +66,8 @@ TEST(ArgParser, ExplicitBooleanValues)
 
 TEST(ArgParserDeathTest, RejectsMalformedBoolean)
 {
-    auto args = parse({"--cache=of"});
-    EXPECT_DEATH(args.getBool("cache", true), "expects a boolean");
+    auto args = parse({"--planes=of"});
+    EXPECT_DEATH(args.getBool("planes", true), "expects a boolean");
 }
 
 TEST(ArgParser, IntAtLeastAcceptsTheFullIntRange)
@@ -102,14 +111,6 @@ TEST(ArgParser, Doubles)
     EXPECT_DOUBLE_EQ(args.getDouble("missing", 1.5), 1.5);
 }
 
-TEST(ArgParser, Positional)
-{
-    auto args = parse({"alexnet", "--full", "vgg19"});
-    ASSERT_EQ(args.positional().size(), 2u);
-    EXPECT_EQ(args.positional()[0], "alexnet");
-    EXPECT_EQ(args.positional()[1], "vgg19");
-}
-
 TEST(ArgParser, FallbacksWhenAbsent)
 {
     auto args = parse({});
@@ -132,9 +133,9 @@ TEST(ArgParser, NegativeNumberValue)
 
 TEST(ArgParser, CheckUnknownAcceptsKnownFlags)
 {
-    auto args = parse({"--smoke", "--units=4", "positional"});
+    auto args = parse({"--smoke", "--units=4"});
     args.checkUnknown({"smoke", "units", "full"});
-    SUCCEED(); // Positionals are not flags; known flags pass.
+    SUCCEED(); // Known flags pass; unused known flags are fine.
 }
 
 TEST(ArgParserDeathTest, CheckUnknownRejectsTypo)
@@ -151,6 +152,15 @@ TEST(ArgParserDeathTest, CheckUnknownRejectsUnrelatedFlag)
     auto args = parse({"--frobnicate=1"});
     EXPECT_DEATH(args.checkUnknown({"smoke", "units"}),
                  "unknown flag --frobnicate");
+}
+
+TEST(SplitList, DropsEmptyItems)
+{
+    EXPECT_EQ(splitList("a,b"), (std::vector<std::string>{"a", "b"}));
+    EXPECT_EQ(splitList(",a,,b,"),
+              (std::vector<std::string>{"a", "b"}));
+    EXPECT_TRUE(splitList("").empty());
+    EXPECT_TRUE(splitList(",,").empty());
 }
 
 } // namespace

@@ -6,11 +6,13 @@ Every tool and bench declares its accepted flags explicitly:
   - ``args.checkUnknown({"flag", ...})`` calls in ``tools/*.cc``,
     ``bench/*.cc`` and ``examples/*.cpp``;
   - the ``known = {...}`` base list and ``known.push_back("...")``
-    additions in ``bench/common.h``.
+    additions in ``bench/common.h``, and the extra-flag lists benches
+    pass to ``BenchOptions::parse(argc, argv, units, {"flag", ...})``.
 
 This script extracts that set and asserts each flag appears as
-``--flag`` in README.md's "CLI flag reference" table, so the table
-cannot silently rot when someone adds a flag.
+``--flag`` in README.md's "CLI flag reference" table, and that every
+row of that table names a declared flag, so the table can rot neither
+when someone adds a flag nor when someone deletes one.
 
 The same mechanism covers the engine registry: every kind registered
 in ``src/models/engines.cc`` (``registerEngine("kind", ...)``) must
@@ -51,6 +53,9 @@ KNOWN_LIST_RE = re.compile(
     re.DOTALL,
 )
 PUSH_BACK_RE = re.compile(r'known\.push_back\("(?P<flag>[a-z0-9-]+)"\)')
+EXTRA_FLAGS_RE = re.compile(
+    r"BenchOptions::parse\s*\([^;{]*\{(?P<body>[^}]*)\}", re.DOTALL
+)
 STRING_RE = re.compile(r'"([a-z0-9-]+)"')
 
 
@@ -69,15 +74,31 @@ def declared_flags():
                 m.group("body")
                 for m in CHECK_UNKNOWN_RE.finditer(text)
             ]
-            bodies += [
-                m.group("body") for m in KNOWN_LIST_RE.finditer(text)
-            ]
+            for regex in (KNOWN_LIST_RE, EXTRA_FLAGS_RE):
+                bodies += [m.group("body") for m in regex.finditer(text)]
             for body in bodies:
                 for flag in STRING_RE.findall(body):
                     add(flag, rel)
             for m in PUSH_BACK_RE.finditer(text):
                 add(m.group("flag"), rel)
     return flags
+
+
+# The README section holding the flag table, up to the next
+# same-level heading, and its rows: a table line whose first cell
+# starts with a backticked flag, e.g. "| `--units=N` | ... |".
+FLAG_SECTION_RE = re.compile(
+    r"^## CLI flag reference\n(?P<body>.*?)(?=^## )",
+    re.MULTILINE | re.DOTALL,
+)
+FLAG_ROW_RE = re.compile(r"^\|\s*`--([a-z0-9-]+)", re.MULTILINE)
+
+
+def stale_flag_rows(readme, flags):
+    """Flag-table rows naming a flag no front end declares."""
+    section = FLAG_SECTION_RE.search(readme)
+    rows = FLAG_ROW_RE.findall(section.group("body")) if section else []
+    return sorted(set(rows) - set(flags))
 
 
 REGISTER_ENGINE_RE = re.compile(r'registerEngine\(\s*"([a-z0-9_-]+)"')
@@ -192,6 +213,17 @@ def main():
             "add each to the 'CLI flag reference' table in README.md",
             file=sys.stderr,
         )
+        return 1
+
+    stale_flags = stale_flag_rows(readme, flags)
+    if stale_flags:
+        print(
+            "check_docs_drift: stale README.md 'CLI flag reference' "
+            "rows naming a flag no front end declares:",
+            file=sys.stderr,
+        )
+        for flag in stale_flags:
+            print(f"  | `--{flag}...` | ...", file=sys.stderr)
         return 1
 
     missing_rows, stale_rows = engine_table_drift(readme)

@@ -3,20 +3,22 @@
  * pra_serve: batched-serving capacity planning on the simulated
  * accelerator fleet.
  *
- *   pra_serve [--networks all|a,b] [--engines paper|all|spec,spec]
- *             [--layers conv|fc|all]
- *             [--activations synthetic|propagated]
- *             [--memory off|ideal|preset]
- *             [--traffic R1,R2,...] [--arrival poisson|uniform]
- *             [--instances N] [--max-batch B] [--timeout CYCLES]
- *             [--requests N] [--threads N] [--inner-threads N]
- *             [--cache on|off] [--planes on|off]
- *             [--units N | --full] [--seed S] [--csv FILE] [--smoke]
- *             [--mtbf CYCLES] [--mttr CYCLES]
- *             [--fault-dist exponential|fixed] [--fault-seed S]
- *             [--queue-cap N] [--retries N] [--backoff CYCLES]
- *             [--degrade-watermark N]
+ *   pra_serve [--networks=all|a,b] [--engines=paper|all|spec,spec]
+ *             [--layers=conv|fc|all]
+ *             [--activations=synthetic|propagated]
+ *             [--memory=off|ideal|preset]
+ *             [--traffic=R1,R2,...] [--arrival=poisson|uniform]
+ *             [--instances=N] [--max-batch=B] [--timeout=CYCLES]
+ *             [--requests=N] [--threads=N] [--planes=on|off]
+ *             [--units=N | --full] [--seed=S] [--csv=FILE] [--smoke]
+ *             [--mtbf=CYCLES] [--mttr=CYCLES]
+ *             [--fault-dist=exponential|fixed] [--fault-seed=S]
+ *             [--queue-cap=N] [--retries=N] [--backoff=CYCLES]
+ *             [--degrade-watermark=N]
  *             [--list-engines] [--list-memory]
+ *
+ * Flags take values as "--name=value" only; a stray argument (the
+ * "value" of "--name value") is rejected.
  *
  * For every (network, engine) cell pra_serve builds the batch cost
  * curve — the system cycles of batches of 1..--max-batch images,
@@ -50,12 +52,11 @@
  * tears a previously written file.
  *
  * Determinism matches the sweep: cost curves are bit-identical
- * across --threads/--inner-threads/--cache, arrivals are
- * counter-based in (seed, index), and the event loop is serial — so
- * the serving CSV is byte-identical for any thread count, with the
- * cache on or off (CI asserts this), faulted or not: fault schedules
- * are counter-based pure functions of (--fault-seed, instance,
- * event index).
+ * across --threads, arrivals are counter-based in (seed, index), and
+ * the event loop is serial — so the serving CSV is byte-identical for
+ * any thread count (ctest asserts this), faulted or not: fault
+ * schedules are counter-based pure functions of (--fault-seed,
+ * instance, event index).
  */
 
 #include <algorithm>
@@ -73,84 +74,6 @@
 
 using namespace pra;
 
-namespace {
-
-std::vector<std::string>
-splitList(const std::string &list)
-{
-    std::vector<std::string> items;
-    size_t pos = 0;
-    while (pos <= list.size()) {
-        size_t comma = list.find(',', pos);
-        std::string item =
-            list.substr(pos, comma == std::string::npos
-                                 ? std::string::npos
-                                 : comma - pos);
-        if (!item.empty())
-            items.push_back(item);
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
-    }
-    return items;
-}
-
-std::vector<dnn::Network>
-parseNetworks(const std::string &list, dnn::LayerSelect select)
-{
-    if (list == "all")
-        return dnn::makeAllNetworks(select);
-    std::vector<dnn::Network> networks;
-    for (const auto &name : splitList(list))
-        networks.push_back(dnn::makeNetworkByName(name, select));
-    if (networks.empty())
-        util::fatal("no networks selected");
-    return networks;
-}
-
-std::vector<sim::EngineSelection>
-parseEngines(const std::string &list)
-{
-    if (list == "paper")
-        return models::paperEngineGrid();
-    // "all" is the frozen historical five-kind grid, not every
-    // registered kind — the smoke goldens pin its expansion.
-    if (list == "all")
-        return models::coreEngineGrid();
-    std::vector<sim::EngineSelection> grid;
-    for (const auto &spec : splitList(list))
-        grid.push_back(sim::parseEngineSpec(spec));
-    if (grid.empty())
-        util::fatal("no engines selected");
-    return grid;
-}
-
-/** Parse --traffic: comma-separated positive rates (images/s). */
-std::vector<double>
-parseTraffic(const std::string &list)
-{
-    std::vector<double> rates;
-    for (const auto &item : splitList(list)) {
-        double rate = 0.0;
-        size_t parsed = 0;
-        try {
-            rate = std::stod(item, &parsed);
-        } catch (...) {
-            parsed = 0;
-        }
-        if (parsed != item.size() || !(rate > 0.0) ||
-            rate > sim::kCyclesPerSecond)
-            util::fatal("--traffic rates must be positive images/s "
-                        "up to 1e9 (got '" + item + "')");
-        rates.push_back(rate);
-    }
-    if (rates.empty())
-        util::fatal("--traffic lists no rates");
-    return rates;
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
@@ -158,11 +81,10 @@ main(int argc, char **argv)
     args.checkUnknown({"networks", "engines", "layers", "activations",
                        "memory", "traffic", "arrival", "instances",
                        "max-batch", "timeout", "requests", "threads",
-                       "inner-threads", "cache", "planes", "units",
-                       "full", "seed", "csv", "smoke", "list-engines",
-                       "list-memory", "mtbf", "mttr", "fault-dist",
-                       "fault-seed", "queue-cap", "retries",
-                       "backoff", "degrade-watermark"});
+                       "planes", "units", "full", "seed", "csv",
+                       "smoke", "list-engines", "list-memory", "mtbf",
+                       "mttr", "fault-dist", "fault-seed", "queue-cap",
+                       "retries", "backoff", "degrade-watermark"});
     sim::setCyclePlanesEnabled(args.getBool("planes", true));
 
     if (args.getBool("list-engines")) {
@@ -193,16 +115,14 @@ main(int argc, char **argv)
         select = dnn::parseLayerSelect(args.getString("layers",
                                                       "conv"));
     }
-    std::vector<dnn::Network> networks = parseNetworks(
+    std::vector<dnn::Network> networks = dnn::parseNetworks(
         args.getString("networks", smoke ? "tiny" : "all"), select);
     std::vector<sim::EngineSelection> engines =
-        parseEngines(args.getString("engines", "paper"));
+        models::parseEngines(args.getString("engines", "paper"));
 
     sim::ServingSweepOptions options;
     options.threads = args.getIntAtLeast(
         "threads", util::ThreadPool::hardwareThreads(), 1);
-    options.innerThreads = args.getIntAtLeast("inner-threads", 0, 0);
-    options.cache = args.getBool("cache", true);
     options.activations = activations;
     options.accel.memory =
         sim::parseMemoryPreset(args.getString("memory", "off"));
@@ -222,7 +142,7 @@ main(int argc, char **argv)
 
     // Degenerate serving parameters get loud rejections, not silent
     // empty simulations.
-    options.offeredPerSecond = parseTraffic(
+    options.offeredPerSecond = sim::parseTraffic(
         args.getString("traffic", smoke ? "1000,100000" : "10000"));
     options.serving.arrival.kind = sim::parseArrivalKind(
         args.getString("arrival", "poisson"));

@@ -2,19 +2,22 @@
  * @file
  * pra_sweep: run the (network x engine x config) grid in one shot.
  *
- *   pra_sweep [--networks all|a,b] [--engines paper|all|spec,spec]
- *             [--layers conv|fc|all] [--activations synthetic|propagated]
- *             [--memory off|ideal|preset] [--batch B] [--shard i/N]
- *             [--threads N]
- *             [--inner-threads N] [--cache on|off] [--planes on|off]
- *             [--units N | --full] [--seed S]
- *             [--csv FILE] [--per-layer] [--smoke] [--list-engines]
+ *   pra_sweep [--networks=all|a,b] [--engines=paper|all|spec,spec]
+ *             [--layers=conv|fc|all]
+ *             [--activations=synthetic|propagated]
+ *             [--memory=off|ideal|preset] [--batch=B] [--shard=i/N]
+ *             [--threads=N] [--planes=on|off]
+ *             [--units=N | --full] [--seed=S]
+ *             [--csv=FILE] [--per-layer] [--smoke] [--list-engines]
  *             [--list-memory]
+ *
+ * Flags take values as "--name=value" only; a stray argument (the
+ * "value" of "--name value") is rejected.
  *
  * An engine spec is "kind[:key=value]*", e.g. "pragmatic:bits=2" or
  * "pragmatic-col:bits=2:ssr=1"; see --list-engines for kinds and
- * knobs. "--engines paper" (default) runs the paper's headline design
- * points; "--engines all" runs one default instance of every
+ * knobs. "--engines=paper" (default) runs the paper's headline design
+ * points; "--engines=all" runs one default instance of every
  * registered kind. Results stream as CSV to --csv (default stdout),
  * with a speedup-vs-DaDN summary table on stderr when DaDN is in the
  * grid.
@@ -42,33 +45,30 @@
  * infinite bandwidth: zero stalls, compute columns exactly equal to
  * an "off" run.
  *
- * "--batch B" prices a batch of B images per cell instead of one:
+ * "--batch=B" prices a batch of B images per cell instead of one:
  * each engine runs B per-image streams (image 0 is the historical
  * one) and reports per-batch totals plus the batch/cycles_per_image
  * CSV columns; with --memory enabled, filter traffic amortizes over
- * the batch while ifmap/ofmap traffic scales with it. "--batch 1"
+ * the batch while ifmap/ofmap traffic scales with it. "--batch=1"
  * (default) is byte-identical to the historical single-image sweep.
  *
- * "--shard i/N" prices only shard i of the grid-order cell list
+ * "--shard=i/N" prices only shard i of the grid-order cell list
  * (0 <= i < N, contiguous balanced split). Concatenating the CSV
  * bodies of shards 0..N-1 (headers dropped after the first)
  * reproduces the unsharded output byte for byte, so a big sweep can
  * fan out across jobs. The speedup summary needs the whole grid and
  * is skipped when sharded.
  *
- * "--cache off" rebuilds every cell's workload from scratch instead
- * of sharing one synthesis per (network, stream, seed) — only useful
- * to bound the cache's memory or to verify equivalence.
- * "--planes off" stops serving intermediate-L (1..3) schedule
+ * "--planes=off" stops serving intermediate-L (1..3) schedule
  * lengths from the memoized per-workload cycle planes and falls back
  * to the bounds short-circuit plus the serial per-brick schedule;
  * the planes are an exact memoization, so output is byte-identical
- * either way (a sweep test and CI assert this) — the switch exists
- * for A/B timing and equivalence checks.
- * "--inner-threads N" caps the pallet-block subtasks a cell may fan
- * out (0 = automatic: split only when the grid has fewer cells than
- * threads). Output is bit-identical for any --threads or
- * --inner-threads value and with the cache on or off.
+ * either way (a sweep test and ctest assert this) — the switch
+ * exists for A/B timing and equivalence checks.
+ *
+ * Cells share one workload cache and split layers across spare
+ * workers only when the grid has fewer cells than --threads; output
+ * is bit-identical for any --threads value.
  */
 
 #include <cstdio>
@@ -89,56 +89,6 @@
 using namespace pra;
 
 namespace {
-
-std::vector<std::string>
-splitList(const std::string &list)
-{
-    std::vector<std::string> items;
-    size_t pos = 0;
-    while (pos <= list.size()) {
-        size_t comma = list.find(',', pos);
-        std::string item =
-            list.substr(pos, comma == std::string::npos
-                                 ? std::string::npos
-                                 : comma - pos);
-        if (!item.empty())
-            items.push_back(item);
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
-    }
-    return items;
-}
-
-std::vector<dnn::Network>
-parseNetworks(const std::string &list, dnn::LayerSelect select)
-{
-    if (list == "all")
-        return dnn::makeAllNetworks(select);
-    std::vector<dnn::Network> networks;
-    for (const auto &name : splitList(list))
-        networks.push_back(dnn::makeNetworkByName(name, select));
-    if (networks.empty())
-        util::fatal("no networks selected");
-    return networks;
-}
-
-std::vector<sim::EngineSelection>
-parseEngines(const std::string &list)
-{
-    if (list == "paper")
-        return models::paperEngineGrid();
-    // "all" is the frozen historical five-kind grid, not every
-    // registered kind — the smoke goldens pin its expansion.
-    if (list == "all")
-        return models::coreEngineGrid();
-    std::vector<sim::EngineSelection> grid;
-    for (const auto &spec : splitList(list))
-        grid.push_back(sim::parseEngineSpec(spec));
-    if (grid.empty())
-        util::fatal("no engines selected");
-    return grid;
-}
 
 /** Speedup-vs-DaDN table on stderr (skipped when DaDN absent). */
 void
@@ -215,9 +165,9 @@ main(int argc, char **argv)
     util::ArgParser args(argc, argv);
     args.checkUnknown({"networks", "engines", "layers", "activations",
                        "memory", "batch", "shard", "threads",
-                       "inner-threads", "cache", "planes", "units",
-                       "full", "seed", "csv", "per-layer", "smoke",
-                       "list-engines", "list-memory"});
+                       "planes", "units", "full", "seed", "csv",
+                       "per-layer", "smoke", "list-engines",
+                       "list-memory"});
     sim::setCyclePlanesEnabled(args.getBool("planes", true));
 
     if (args.getBool("list-engines")) {
@@ -250,16 +200,14 @@ main(int argc, char **argv)
         select = dnn::parseLayerSelect(args.getString("layers",
                                                       "conv"));
     }
-    std::vector<dnn::Network> networks = parseNetworks(
+    std::vector<dnn::Network> networks = dnn::parseNetworks(
         args.getString("networks", smoke ? "tiny" : "all"), select);
     std::vector<sim::EngineSelection> engines =
-        parseEngines(args.getString("engines", "paper"));
+        models::parseEngines(args.getString("engines", "paper"));
 
     sim::SweepOptions options;
     options.threads = args.getIntAtLeast(
         "threads", util::ThreadPool::hardwareThreads(), 1);
-    options.innerThreads = args.getIntAtLeast("inner-threads", 0, 0);
-    options.cache = args.getBool("cache", true);
     options.activations = activations;
     options.accel.memory =
         sim::parseMemoryPreset(args.getString("memory", "off"));
