@@ -2,10 +2,11 @@
  * @file
  * google-benchmark microbenchmarks of the simulator's hot kernels:
  * oneffset generation, brick scheduling across first-stage widths,
- * the functional PIP, activation synthesis, and the workload-cache
- * substrate (brick-plane construction, plane-served vs tensor-served
- * pallet-sync layer simulation). These gate the simulator's own
- * throughput, not the modeled hardware.
+ * the functional PIP, activation synthesis and its inverse-CDF
+ * sampler, and the workload-cache substrate (brick-plane
+ * construction, plane-served vs tensor-served pallet-sync layer
+ * simulation). These gate the simulator's own throughput, not the
+ * modeled hardware.
  */
 
 #include <benchmark/benchmark.h>
@@ -236,6 +237,26 @@ BM_WeightPlanesBuild(benchmark::State &state)
         net.layers[2].synapsesPerFilter());
 }
 BENCHMARK(BM_WeightPlanesBuild);
+
+/**
+ * One inverse-CDF draw from a calibrated discretized exponential with
+ * a table of the range argument's size: 1023 entries is a 10-bit
+ * weight window, 8191 a 13-bit activation window. Every synthesized
+ * weight and light-component neuron pays one.
+ */
+void
+BM_DiscreteExponentialSample(benchmark::State &state)
+{
+    const auto max_value = static_cast<uint32_t>(state.range(0));
+    dnn::DiscreteExponential dist(
+        dnn::calibrateLambda(max_value, dnn::kLightComponentPopcount),
+        max_value);
+    util::Xoshiro256 rng(0x5a3b1e);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(dist.sample(rng));
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DiscreteExponentialSample)->Arg(1023)->Arg(8191);
 
 /**
  * One pallet-sync layer, first-stage width from the range argument:

@@ -25,16 +25,16 @@ densePopcount(int precision_bits)
     return 1.0 + (precision_bits - 1) * 0.5;
 }
 
-} // namespace
-
-DiscreteExponential::DiscreteExponential(double lambda, uint32_t max_value)
-    : lambda_(lambda), maxValue_(max_value)
+/**
+ * One pass over the unnormalized weights of DiscreteExponential(
+ * @p lambda, @p max_value): returns the exact moments and, when
+ * @p cdf is non-null, writes the unnormalized running sums there.
+ */
+ExponentialMoments
+accumulateWeights(double lambda, uint32_t max_value, double *cdf)
 {
-    PRA_CHECK(max_value >= 1,
-                         "DiscreteExponential: max_value must be >= 1");
-    PRA_CHECK(lambda >= 0.0,
-                         "DiscreteExponential: lambda must be >= 0");
-    cdf_.resize(max_value);
+    PRA_CHECK(max_value >= 1, "DiscreteExponential: max_value must be >= 1");
+    PRA_CHECK(lambda >= 0.0, "DiscreteExponential: lambda must be >= 0");
     double total = 0.0;
     double pop_sum = 0.0;
     double val_sum = 0.0;
@@ -46,23 +46,46 @@ DiscreteExponential::DiscreteExponential(double lambda, uint32_t max_value)
         total += w;
         pop_sum += w * std::popcount(v);
         val_sum += w * v;
-        cdf_[v - 1] = total;
+        if (cdf)
+            cdf[v - 1] = total;
     }
-    for (double &c : cdf_)
-        c /= total;
-    expectedPopcount_ = pop_sum / total;
-    expectedValue_ = val_sum / total;
+    return {pop_sum / total, val_sum / total};
 }
 
-uint32_t
-DiscreteExponential::sample(util::Xoshiro256 &rng) const
+} // namespace
+
+ExponentialMoments
+discreteExponentialMoments(double lambda, uint32_t max_value)
 {
-    double u = rng.nextDouble();
-    auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-    size_t idx = static_cast<size_t>(it - cdf_.begin());
-    if (idx >= cdf_.size())
-        idx = cdf_.size() - 1;
-    return static_cast<uint32_t>(idx + 1);
+    return accumulateWeights(lambda, max_value, nullptr);
+}
+
+DiscreteExponential::DiscreteExponential(double lambda, uint32_t max_value)
+    : lambda_(lambda), maxValue_(max_value)
+{
+    PRA_CHECK(max_value <= (1u << 31),
+              "DiscreteExponential: max_value too large for the guide "
+              "table");
+    cdf_.resize(max_value);
+    moments_ = accumulateWeights(lambda, max_value, cdf_.data());
+    const double total = cdf_.back();
+    for (double &c : cdf_)
+        c /= total;
+    // x / x is exactly 1: the sentinel that stops inverse()'s scan.
+    PRA_CHECK(cdf_.back() == 1.0,
+              "DiscreteExponential: the CDF must end at exactly 1");
+
+    const uint32_t buckets = std::bit_ceil(max_value);
+    buckets_ = buckets;
+    guide_.resize(static_cast<size_t>(buckets) + 1);
+    uint32_t idx = 0;
+    for (uint32_t j = 0; j <= buckets; j++) {
+        // j / buckets is exact: buckets is a power of two.
+        const double edge = static_cast<double>(j) / buckets_;
+        while (cdf_[idx] < edge)
+            idx++;
+        guide_[j] = idx;
+    }
 }
 
 double
@@ -70,8 +93,8 @@ calibrateLambda(uint32_t max_value, double target_popcount)
 {
     // Reachable range: lambda -> inf concentrates on value 1
     // (popcount 1); lambda == 0 is uniform.
-    double uniform_pop = DiscreteExponential(0.0, max_value)
-                             .expectedPopcount();
+    double uniform_pop =
+        discreteExponentialMoments(0.0, max_value).popcount;
     if (target_popcount >= uniform_pop) {
         if (target_popcount > uniform_pop + 0.05) {
             util::warn("calibrateLambda: target popcount " +
@@ -91,8 +114,7 @@ calibrateLambda(uint32_t max_value, double target_popcount)
     for (int iter = 0; iter < 60; iter++) {
         double mid = (lo <= 0.0) ? std::min(1.0, hi / 2)
                                  : std::sqrt(lo * hi);
-        double pop = DiscreteExponential(mid, max_value)
-                         .expectedPopcount();
+        double pop = discreteExponentialMoments(mid, max_value).popcount;
         if (pop > target_popcount)
             lo = mid;
         else
@@ -128,8 +150,8 @@ calibrateFixed16(const LayerSpec &layer, const BitStatsTargets &targets)
 
     uint32_t core_max = (1u << layer.profiledPrecision) - 1;
     params.lambda = calibrateLambda(core_max, kLightComponentPopcount);
-    double light_pop = DiscreteExponential(params.lambda, core_max)
-                           .expectedPopcount();
+    double light_pop =
+        discreteExponentialMoments(params.lambda, core_max).popcount;
     double dense_pop = densePopcount(layer.profiledPrecision);
     if (dense_pop > light_pop) {
         params.denseFraction = std::clamp(
@@ -177,7 +199,7 @@ calibrateQuant8(const BitStatsTargets &targets)
     double target = targets.nz8 * fixedpoint::kQuantBits;
     params.lambda = calibrateLambda(255, kLightComponentPopcount);
     double light_pop =
-        DiscreteExponential(params.lambda, 255).expectedPopcount();
+        discreteExponentialMoments(params.lambda, 255).popcount;
     double dense_pop = densePopcount(fixedpoint::kQuantBits);
     if (dense_pop > light_pop) {
         params.denseFraction = std::clamp(

@@ -31,6 +31,7 @@
 
 #include "dnn/network.h"
 #include "dnn/tensor.h"
+#include "util/check.h"
 #include "util/random.h"
 
 namespace pra {
@@ -59,25 +60,70 @@ synthesisAnchor(const LayerSpec &layer)
                : 16 - layer.profiledPrecision;
 }
 
+/** Exact moments of a DiscreteExponential (see below). */
+struct ExponentialMoments
+{
+    double popcount = 0.0; ///< Expected popcount.
+    double value = 0.0;    ///< Expected value.
+};
+
+/**
+ * The exact moments of DiscreteExponential(@p lambda, @p max_value),
+ * computed without building its sampling tables — what calibration
+ * needs, which evaluates dozens of candidate lambdas per layer.
+ */
+ExponentialMoments discreteExponentialMoments(double lambda,
+                                              uint32_t max_value);
+
 /**
  * A discrete distribution over [1, maxValue] with P(v) proportional to
  * exp(-lambda * v / maxValue); lambda == 0 degenerates to uniform.
  * Scale-normalizing the exponent keeps lambda comparable across
  * layers with different precisions.
+ *
+ * Sampling inverts the CDF through a cutpoint guide table (Chen &
+ * Asau): K buckets, K the next power of two >= maxValue, where
+ * bucket j holds the first index whose CDF entry is >= j / K. A draw
+ * u lands in bucket floor(u * K) (exact: K is a power of two) and
+ * scans forward from its guide, at most 1 + maxValue / K <= 2
+ * comparisons expected. Since every CDF entry before the guide is
+ * below j / K <= u, the result is exactly the binary search's
+ * lower_bound(cdf, u) for every u.
  */
 class DiscreteExponential
 {
   public:
     DiscreteExponential(double lambda, uint32_t max_value);
 
-    /** Draw one value in [1, maxValue]. */
-    uint32_t sample(util::Xoshiro256 &rng) const;
+    /**
+     * The value whose CDF interval holds @p u in [0, 1]: the smallest
+     * v with cdf(v) >= u. A pure function of @p u.
+     */
+    uint32_t
+    inverse(double u) const
+    {
+        PRA_CHECK(u >= 0.0 && u <= 1.0,
+                  "DiscreteExponential: u outside [0, 1]");
+        uint32_t idx = guide_[static_cast<size_t>(u * buckets_)];
+        while (cdf_[idx] < u)
+            idx++;
+        return idx + 1;
+    }
+
+    /** Draw one value in [1, maxValue]: inverse(rng.nextDouble()). */
+    uint32_t sample(util::Xoshiro256 &rng) const
+    {
+        return inverse(rng.nextDouble());
+    }
 
     /** Exact expected popcount under the distribution. */
-    double expectedPopcount() const { return expectedPopcount_; }
+    double expectedPopcount() const { return moments_.popcount; }
 
     /** Exact expected value under the distribution. */
-    double expectedValue() const { return expectedValue_; }
+    double expectedValue() const { return moments_.value; }
+
+    /** P(value <= v + 1) at index v; the last entry is exactly 1. */
+    const std::vector<double> &cdf() const { return cdf_; }
 
     uint32_t maxValue() const { return maxValue_; }
     double lambda() const { return lambda_; }
@@ -86,8 +132,14 @@ class DiscreteExponential
     double lambda_;
     uint32_t maxValue_;
     std::vector<double> cdf_;
-    double expectedPopcount_ = 0.0;
-    double expectedValue_ = 0.0;
+    /** K, the guide-table bucket count, as a double. */
+    double buckets_ = 0.0;
+    /**
+     * K + 1 entries: guide_[j] = lower_bound(cdf_, j / K); the extra
+     * bucket serves u == 1.
+     */
+    std::vector<uint32_t> guide_;
+    ExponentialMoments moments_;
 };
 
 /**

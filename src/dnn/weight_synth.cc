@@ -86,15 +86,19 @@ PropagatedWeightCodes::PropagatedWeightCodes(const LayerSpec &layer,
 {
     PRA_CHECK(layer_.priced(),
               "PropagatedWeightCodes: pool layers carry no weights");
-    // Pass 1: replay the whole weight stream once to find the layer
-    // max magnitude — the anchor that maps |w| onto the profiled
-    // weight window. Pass 2 (filterCodes) replays it again filter by
-    // filter, so peak memory stays one filter.
+    // Pass 1: replay the weight stream to find the layer max
+    // magnitude — the anchor that maps |w| onto the profiled weight
+    // window. No |w| exceeds kReferenceWeightRange, so the scan stops
+    // as soon as it sees one that reaches it (the scan RNG is local:
+    // stopping early changes nothing else). Pass 2 (filterCodes)
+    // replays the stream filter by filter, so peak memory stays one
+    // filter.
     util::Xoshiro256 scan(referenceFilterSeed(layer_, synth_seed));
     const int64_t total =
         layer_.synapsesPerFilter() * layer_.numFilters;
     int max_mag = 0;
-    for (int64_t i = 0; i < total; i++) {
+    for (int64_t i = 0; i < total && max_mag < kReferenceWeightRange;
+         i++) {
         int v = static_cast<int>(scan.nextInRange(
             -kReferenceWeightRange, kReferenceWeightRange));
         max_mag = std::max(max_mag, std::abs(v));

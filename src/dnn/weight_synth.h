@@ -73,8 +73,9 @@ void synthesizeWeightCodes(const LayerSpec &layer, int filter,
  * codes: |w| of each synthesizeFilters(layer, synth_seed ^
  * kPropagationFilterSalt) weight, scaled so the layer's max |w| maps
  * to the top of the profiled weight window (code
- * (1 << wp) - 1). Construction replays the filter RNG once to find
- * that max; filterCodes() then replays it again filter by filter, so
+ * (1 << wp) - 1). Construction replays the filter RNG to find that
+ * max, stopping at the first |w| that reaches the reference weight
+ * range; filterCodes() then replays it again filter by filter, so
  * filters must be requested in order 0..numFilters-1 exactly once.
  */
 class PropagatedWeightCodes

@@ -3,14 +3,22 @@
  * Tests for the calibrated synthetic activation generator — the
  * substitute for the paper's real ImageNet traces (docs/ARCHITECTURE.md,
  * "Calibrated substrates").
- * The key checks: determinism, and that the synthesized streams hit
- * the paper's Table I bit statistics they were calibrated against.
+ * The key checks: determinism, that the synthesized streams hit
+ * the paper's Table I bit statistics they were calibrated against,
+ * and that the guide-table sampler returns exactly the binary
+ * search's value for every draw.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <vector>
+
 #include "dnn/activation_synth.h"
 #include "dnn/model_zoo.h"
+#include "dnn/weight_synth.h"
 #include "fixedpoint/fixed_point.h"
 #include "util/random.h"
 
@@ -24,6 +32,10 @@ TEST(DiscreteExponential, UniformWhenLambdaZero)
     EXPECT_NEAR(d.expectedValue(), 8.0, 1e-9);
     // Mean popcount of 1..15 = 32/15.
     EXPECT_NEAR(d.expectedPopcount(), 32.0 / 15.0, 1e-9);
+    // Calibration's table-free moments are the same numbers.
+    ExponentialMoments m = discreteExponentialMoments(0.0, 15);
+    EXPECT_EQ(m.popcount, d.expectedPopcount());
+    EXPECT_EQ(m.value, d.expectedValue());
 }
 
 TEST(DiscreteExponential, LargeLambdaConcentratesOnOne)
@@ -46,6 +58,76 @@ TEST(DiscreteExponential, SampleMatchesExpectation)
         sum_pop += fixedpoint::essentialBits(static_cast<uint16_t>(v));
     }
     EXPECT_NEAR(sum_pop / n, d.expectedPopcount(), 0.05);
+}
+
+/** The binary-search inverse CDF the guide table must reproduce. */
+uint32_t
+referenceInverse(const std::vector<double> &cdf, double u)
+{
+    auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+    size_t idx = static_cast<size_t>(it - cdf.begin());
+    if (idx >= cdf.size())
+        idx = cdf.size() - 1;
+    return static_cast<uint32_t>(idx + 1);
+}
+
+TEST(DiscreteExponential, GuideTableMatchesBinarySearch)
+{
+    // Every u the tables can treat differently: 0, each CDF entry and
+    // its neighbours, each bucket edge j / K (1 included) and its
+    // neighbours, the largest draw nextDouble() can return, and a run
+    // of real draws.
+    const double kLastDraw = 1.0 - 0x1.0p-53;
+    for (uint32_t max_value :
+         {1u, 2u, 3u, 255u, 511u, 1023u, 2047u, 8191u, 65535u}) {
+        for (double lambda :
+             {0.0, 1e6, calibrateLambda(max_value, kLightComponentPopcount),
+              calibrateLambda(max_value, kWeightPopcountTarget)}) {
+            DiscreteExponential d(lambda, max_value);
+            const std::vector<double> &cdf = d.cdf();
+            ASSERT_EQ(cdf.size(), max_value);
+            std::vector<double> us = {0.0, kLastDraw};
+            auto add_with_neighbours = [&us](double u) {
+                us.push_back(std::nextafter(u, 0.0));
+                us.push_back(u);
+                us.push_back(std::nextafter(u, 2.0));
+            };
+            for (double c : cdf)
+                add_with_neighbours(c);
+            const uint32_t buckets = std::bit_ceil(max_value);
+            for (uint32_t j = 0; j <= buckets; j++)
+                add_with_neighbours(static_cast<double>(j) / buckets);
+            util::Xoshiro256 rng(max_value ^ 0xd15c);
+            for (int i = 0; i < 100000; i++)
+                us.push_back(rng.nextDouble());
+
+            int64_t mismatches = 0;
+            for (double u : us) {
+                if (u < 0.0 || u > 1.0)
+                    continue;
+                mismatches += d.inverse(u) != referenceInverse(cdf, u);
+            }
+            EXPECT_EQ(mismatches, 0)
+                << "max_value " << max_value << " lambda " << lambda;
+        }
+    }
+}
+
+TEST(DiscreteExponential, SampleIsInverseOfNextDouble)
+{
+    DiscreteExponential d(calibrateLambda(2047, kWeightPopcountTarget),
+                          2047);
+    util::Xoshiro256 a(7);
+    util::Xoshiro256 b(7);
+    for (int i = 0; i < 10000; i++)
+        ASSERT_EQ(d.sample(a), d.inverse(b.nextDouble()));
+}
+
+TEST(DiscreteExponentialDeathTest, RejectsDrawsOutsideUnitInterval)
+{
+    DiscreteExponential d(1.0, 15);
+    EXPECT_DEATH(d.inverse(1.5), "outside");
+    EXPECT_DEATH(d.inverse(-0.25), "outside");
 }
 
 TEST(CalibrateLambda, HitsTarget)

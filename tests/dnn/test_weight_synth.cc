@@ -2,18 +2,23 @@
  * @file
  * Tests for the deterministic weight-code synthesizer: code ranges,
  * stream determinism, the seed-independence contract (one trained
- * network, regardless of --seed), and the propagated requantization
- * against a direct materialization of the reference weights.
+ * network, regardless of --seed), the propagated requantization
+ * against a direct materialization of the reference weights, and
+ * digests that pin real-zoo weight and activation streams.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "dnn/activation_synth.h"
+#include "dnn/model_zoo.h"
 #include "dnn/propagate.h"
 #include "dnn/weight_synth.h"
 #include "util/random.h"
@@ -99,9 +104,14 @@ TEST(WeightSynth, SparsityAndDensityLandNearTargets)
     EXPECT_LT(mean_pop, 3.5);
 }
 
-TEST(WeightSynth, PropagatedCodesMatchRequantizedReference)
+/**
+ * Check @p layer's PropagatedWeightCodes against a direct
+ * materialization of the reference filters, requantized by hand.
+ * Returns the layer's max |w|.
+ */
+int
+expectMatchesRequantizedReference(const LayerSpec &layer)
 {
-    LayerSpec layer = testLayer(9);
     const uint64_t synth_seed = 0xfeed;
     PropagatedWeightCodes source(layer, synth_seed);
 
@@ -131,6 +141,99 @@ TEST(WeightSynth, PropagatedCodesMatchRequantizedReference)
                     all_match &= codes[s++] == want;
                 }
         EXPECT_TRUE(all_match) << "filter " << f;
+    }
+    return max_mag;
+}
+
+TEST(WeightSynth, PropagatedCodesMatchRequantizedReference)
+{
+    // 3,456 weights: the max-|w| scan stops early at the range bound.
+    EXPECT_EQ(expectMatchesRequantizedReference(testLayer(9)), 255);
+}
+
+TEST(WeightSynth, PropagatedCodesMatchOnFullScan)
+{
+    // Eight weights never reach the range bound here, so the max-|w|
+    // scan runs to the end of the stream.
+    LayerSpec layer = testLayer(9);
+    layer.inputX = 1;
+    layer.inputY = 1;
+    layer.inputChannels = 4;
+    layer.filterX = 1;
+    layer.filterY = 1;
+    layer.numFilters = 2;
+    layer.pad = 0;
+    EXPECT_LT(expectMatchesRequantizedReference(layer), 255);
+}
+
+/** FNV-1a digest of a code stream, one mix per code. */
+uint64_t
+digestCodes(std::span<const uint16_t> codes, uint64_t h)
+{
+    for (uint16_t code : codes)
+        h = util::fnv1aMix(h, code);
+    return h;
+}
+
+/** Index of the layer named @p name in @p net. */
+size_t
+layerIndex(const Network &net, const std::string &name)
+{
+    for (size_t i = 0; i < net.layers.size(); i++)
+        if (net.layers[i].name == name)
+            return i;
+    ADD_FAILURE() << "no layer " << name << " in " << net.name;
+    return 0;
+}
+
+TEST(SynthDigests, RealZooStreamsArePinned)
+{
+    // The smoke network only reaches 7-8-bit sampling tables; these
+    // pin the 10-bit weight and 12-13-bit activation tables the real
+    // zoo prices, so a sampler change that moves any draw shows here.
+    struct WeightCase
+    {
+        Network net;
+        const char *layer;
+        uint64_t digest;
+    };
+    const WeightCase weight_cases[] = {
+        {makeVgg19(LayerSelect::All), "fc6", 0xb0e4d82b3bb9af52ull},
+        {makeAlexNet(LayerSelect::All), "fc8", 0x3732780a02fa9705ull},
+    };
+    for (const auto &wc : weight_cases) {
+        const LayerSpec &layer = wc.net.layers[layerIndex(wc.net, wc.layer)];
+        EXPECT_EQ(layer.profiledWeightPrecision, 10);
+        std::vector<uint16_t> codes(
+            static_cast<size_t>(layer.synapsesPerFilter()));
+        uint64_t h = util::kFnv1aOffset;
+        for (int f = 0; f < 64; f++) {
+            synthesizeWeightCodes(layer, f, codes);
+            h = digestCodes(codes, h);
+        }
+        EXPECT_EQ(h, wc.digest)
+            << wc.net.name << " " << wc.layer << ": 0x" << std::hex << h;
+    }
+
+    struct ActivationCase
+    {
+        const char *layer;
+        int precision;
+        uint64_t digest;
+    };
+    const Network vgg = makeVgg19();
+    const ActivationSynthesizer synth(vgg);
+    const ActivationCase activation_cases[] = {
+        {"conv3_1", 12, 0x7b9ac209367162c0ull},
+        {"conv4_1", 13, 0x98b2385dba41a0e7ull},
+    };
+    for (const auto &ac : activation_cases) {
+        const size_t idx = layerIndex(vgg, ac.layer);
+        EXPECT_EQ(vgg.layers[idx].profiledPrecision, ac.precision);
+        uint64_t h = digestCodes(
+            synth.synthesizeFixed16(static_cast<int>(idx)).flat(),
+            util::kFnv1aOffset);
+        EXPECT_EQ(h, ac.digest) << ac.layer << ": 0x" << std::hex << h;
     }
 }
 
