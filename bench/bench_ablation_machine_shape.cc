@@ -19,6 +19,7 @@
 #include "bench/common.h"
 #include "models/dadn/dadn.h"
 #include "models/pragmatic/pragmatic_engine.h"
+#include "sim/sampling.h"
 #include "sim/workload_cache.h"
 #include "util/args.h"
 #include "util/table.h"
@@ -31,18 +32,14 @@ main(int argc, char **argv)
 {
     util::ArgParser args(argc, argv);
     args.checkUnknown({"smoke", "network", "layers", "full", "units",
-                       "planes", "json"});
+                       "json"});
     bool smoke = args.getBool("smoke");
-    sim::setCyclePlanesEnabled(args.getBool("planes", true));
     bench::BenchReport report("ablation_machine_shape",
                               args.getString("json", ""));
     dnn::Network net = dnn::makeNetworkByName(
         args.getString("network", smoke ? "tiny" : "alexnet"),
         dnn::parseLayerSelect(args.getString("layers", "conv")));
-    sim::SampleSpec sample{0};
-    sample.maxUnits =
-        args.getBool("full") ? 0
-                             : args.getInt("units", smoke ? 2 : 24);
+    sim::SampleSpec sample = sim::parseSampleSpec(args, smoke ? 2 : 24);
 
     std::printf("== Ablation: machine shape (PRA-2b vs equally-shaped "
                 "DaDN), %s ==\n(design knobs of Section IV-A1; not a "

@@ -66,8 +66,7 @@ main(int argc, char **argv)
          "requests", "mtbf-axis"},
         /*supports_activations=*/true, /*supports_json=*/true,
         /*supports_memory=*/true);
-    // pra-lint: allow(arg-check-unknown) BenchOptions::parse already checked the full flag set incl. extras
-    util::ArgParser args(argc, argv);
+    const util::ArgParser &args = opt.args;
     bench::BenchReport report("serving_capacity", opt.jsonPath);
     bench::banner("Batched-serving capacity of the paper engine grid",
                   "the serving extension (docs/ARCHITECTURE.md)");

@@ -16,8 +16,6 @@
  *                     --layers=all; only benches that price through
  *                     the sweep path support it)
  *   --threads=N       worker threads for sweep-based benches
- *   --planes=on|off   serve L=1..3 schedule lengths from the memoized
- *                     cycle planes (results identical either way)
  *   --memory=PRESET   memory-hierarchy preset (off | ideal | dadn |
  *                     edge | hbm); only the sweep-path benches
  *                     compose memory stalls into their results —
@@ -28,7 +26,8 @@
  *
  * Unknown flags fail loudly (a typo like --smke must not run the
  * full bench); benches with extra flags declare them via the
- * extra_flags argument of parse(). Benches that cannot honor
+ * extra_flags argument of parse() and read them from the parsed
+ * BenchOptions::args. Benches that cannot honor
  * --activations=propagated (they price synthetic streams directly
  * rather than through a WorkloadSource) leave supports_activations
  * false and reject the flag instead of silently ignoring it; the
@@ -45,6 +44,7 @@
 #include <fstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "dnn/model_zoo.h"
@@ -164,6 +164,12 @@ class BenchReport
 /** Parsed common bench options. */
 struct BenchOptions
 {
+    explicit BenchOptions(util::ArgParser parsed) : args(std::move(parsed))
+    {
+    }
+
+    /** The parsed command line, extra flags included. */
+    util::ArgParser args;
     sim::SampleSpec sample{64};
     uint64_t seed = 0x5eed;
     std::vector<dnn::Network> networks;
@@ -180,21 +186,18 @@ struct BenchOptions
           bool supports_activations = false,
           bool supports_json = false, bool supports_memory = false)
     {
-        util::ArgParser args(argc, argv);
+        BenchOptions opt(util::ArgParser(argc, argv));
+        const util::ArgParser &args = opt.args;
         std::vector<std::string> known = {
             "full", "units", "seed", "networks", "layers",
-            "activations", "memory", "threads", "smoke", "planes"};
+            "activations", "memory", "threads", "smoke"};
         if (supports_json)
             known.push_back("json");
         known.insert(known.end(), extra_flags.begin(),
                      extra_flags.end());
         args.checkUnknown(known);
-        BenchOptions opt;
         opt.smoke = args.getBool("smoke");
         opt.jsonPath = supports_json ? args.getString("json", "") : "";
-        // The cycle planes are an exact memoization; the switch only
-        // exists for A/B timing and equivalence checks.
-        sim::setCyclePlanesEnabled(args.getBool("planes", true));
         opt.activations = sim::parseActivationMode(
             args.getString("activations", "synthetic"));
         opt.memory =
@@ -225,14 +228,7 @@ struct BenchOptions
         if (opt.smoke)
             default_units = 2; // A few pallets: exercise every code
                                // path in seconds, accuracy is moot.
-        // --units=0 must not silently mean "simulate everything"
-        // (that is --full's job): reject non-positive caps loudly.
-        int64_t units = args.getInt("units", default_units);
-        if (args.has("units") && units <= 0)
-            util::fatal("--units must be a positive sampling cap "
-                        "(got " + std::to_string(units) +
-                        "); use --full for an exhaustive run");
-        opt.sample.maxUnits = args.getBool("full") ? 0 : units;
+        opt.sample = sim::parseSampleSpec(args, default_units);
         int64_t seed = args.getInt("seed", 0x5eed);
         if (seed < 0)
             util::fatal("--seed must be non-negative (got " +

@@ -19,6 +19,7 @@
 #include "models/engines.h"
 #include "models/stripes/stripes.h"
 #include "sim/layer_result.h"
+#include "sim/sampling.h"
 #include "util/args.h"
 #include "util/csv.h"
 #include "util/table.h"
@@ -32,8 +33,7 @@ main(int argc, char **argv)
     args.checkUnknown({"network", "full", "units", "csv"});
     dnn::Network net =
         dnn::makeNetworkByName(args.getString("network", "alexnet"));
-    sim::SampleSpec sample{
-        args.getBool("full") ? 0 : args.getInt("units", 64)};
+    sim::SampleSpec sample = sim::parseSampleSpec(args, 64);
 
     models::DadnModel dadn;
     models::StripesModel stripes;

@@ -18,6 +18,7 @@
 #include "fixedpoint/quantization.h"
 #include "models/dadn/dadn.h"
 #include "models/engines.h"
+#include "sim/sampling.h"
 #include "util/args.h"
 #include "util/random.h"
 #include "util/table.h"
@@ -31,6 +32,7 @@ main(int argc, char **argv)
     args.checkUnknown({"network", "full", "units"});
     dnn::Network net =
         dnn::makeNetworkByName(args.getString("network", "googlenet"));
+    sim::SampleSpec sample = sim::parseSampleSpec(args, 48);
 
     // 1. Quantization mechanics on a ReLU-like real-valued stream.
     util::Xoshiro256 rng(7);
@@ -68,8 +70,6 @@ main(int argc, char **argv)
                             t.flat(), 8));
 
     // 3. Performance with the quantized representation.
-    sim::SampleSpec sample{
-        args.getBool("full") ? 0 : args.getInt("units", 48)};
     models::DadnModel dadn;
     double base = dadn.run(net).totalCycles();
 

@@ -17,13 +17,10 @@
  *                          built once per (workload, L) by the
  *                          batched scheduleCyclesRow kernel)
  *
- * so brick() is a pure table lookup on the hot path. When the cycle
- * planes are force-disabled (sim::setCyclePlanesEnabled) the
- * intermediate widths fall back to the orPop == maxPop monotonicity
- * short-circuit and, only where the bounds disagree, the cycle-by-
- * cycle schedule on a zero-copy view of the input tensor — the
- * identities and the monotonicity are asserted by the schedule test
- * suite, and both paths are bit-identical by construction.
+ * so brick() is a pure table lookup on the hot path. A reshaped
+ * machine (neuronLanes != kBrickSize) has no planes and runs the
+ * cycle-by-cycle schedule on a zero-copy view of the input tensor
+ * instead; those are the only two paths.
  *
  * BrickCostContext is the per-layer setup both engines share: it
  * builds the cost model (resolving plane eligibility and the memoized
@@ -41,6 +38,7 @@
 #include "models/pragmatic/schedule.h"
 #include "sim/tiling.h"
 #include "sim/workload_cache.h"
+#include "util/check.h"
 
 namespace pra {
 namespace models {
@@ -64,9 +62,8 @@ class BrickCostModel
      *                when the machine's neuronLanes == kBrickSize.
      * @param cycles  the memoized schedule-cycle plane for
      *                @p first_stage_bits (same indexing as
-     *                @p planes), or nullptr to fall back to the
-     *                bounds short-circuit + serial schedule; only
-     *                meaningful alongside @p planes for L in 1..3.
+     *                @p planes); required alongside @p planes for L
+     *                in 1..3, ignored otherwise.
      * @param first_stage_bits  L, the PIP first-stage shifter width.
      */
     BrickCostModel(const sim::LayerTiling &tiling,
@@ -76,6 +73,10 @@ class BrickCostModel
         : tiling_(tiling), input_(input), planes_(planes),
           cycles_(cycles), bits_(first_stage_bits)
     {
+        PRA_CHECK(!planes || cycles || first_stage_bits < 1 ||
+                      first_stage_bits >= kMaxFirstStageBits,
+                  "BrickCostModel: brick planes at an intermediate "
+                  "first-stage width need their cycle plane");
     }
 
     Cost
@@ -91,18 +92,12 @@ class BrickCostModel
                 planes_->index(x, y, s.brickI / dnn::kBrickSize);
             Cost cost;
             cost.terms = planes_->pop[idx];
-            int max_pop = planes_->maxPop[idx];
             if (bits_ == 0)
                 cost.cycles = planes_->orPop[idx];
             else if (bits_ >= kMaxFirstStageBits)
-                cost.cycles = max_pop;
-            else if (cycles_)
-                cost.cycles = cycles_[idx];
-            else if (planes_->orPop[idx] == max_pop)
-                cost.cycles = max_pop;
+                cost.cycles = planes_->maxPop[idx];
             else
-                cost.cycles = brickScheduleCycles(
-                    tiling_.gatherBrickView(input_, w, s), bits_);
+                cost.cycles = cycles_[idx];
             return cost;
         }
         auto view = tiling_.gatherBrickView(input_, w, s);
@@ -214,8 +209,7 @@ class BrickCostContext
                   int first_stage_bits)
     {
         if (!resolvePlanes(tiling, workload) || first_stage_bits < 1 ||
-            first_stage_bits >= kMaxFirstStageBits ||
-            !sim::cyclePlanesEnabled())
+            first_stage_bits >= kMaxFirstStageBits)
             return nullptr;
         return workload.cyclePlane(first_stage_bits).data();
     }

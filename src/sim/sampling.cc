@@ -1,5 +1,8 @@
 #include "sim/sampling.h"
 
+#include <string>
+
+#include "util/args.h"
 #include "util/check.h"
 #include "util/logging.h"
 
@@ -29,6 +32,17 @@ planSample(int64_t total, const SampleSpec &spec)
     plan.scale = static_cast<double>(total) /
                  static_cast<double>(count);
     return plan;
+}
+
+SampleSpec
+parseSampleSpec(const util::ArgParser &args, int64_t default_units)
+{
+    int64_t units = args.getInt("units", default_units);
+    if (args.has("units") && units <= 0)
+        util::fatal("--units must be a positive sampling cap (got " +
+                    std::to_string(units) +
+                    "); use --full for an exhaustive run");
+    return SampleSpec{args.getBool("full") ? 0 : units};
 }
 
 } // namespace sim

@@ -15,6 +15,10 @@
 #include <vector>
 
 namespace pra {
+namespace util {
+class ArgParser;
+} // namespace util
+
 namespace sim {
 
 /** Sampling policy for per-layer simulation. */
@@ -39,6 +43,17 @@ struct SamplePlan
  * across the whole range. total == 0 yields an empty plan.
  */
 SamplePlan planSample(int64_t total, const SampleSpec &spec);
+
+/**
+ * The sampling policy of the --units=N / --full flags every tool,
+ * bench and example shares: --full simulates every unit, otherwise
+ * each layer is capped at --units (default @p default_units). A
+ * non-positive --units is fatal even alongside --full: a cap of zero
+ * must not silently mean "simulate everything", which is --full's
+ * job.
+ */
+SampleSpec parseSampleSpec(const util::ArgParser &args,
+                           int64_t default_units);
 
 } // namespace sim
 } // namespace pra

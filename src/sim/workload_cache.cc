@@ -1,7 +1,6 @@
 #include "sim/workload_cache.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 
 // The cycle planes memoize the Pragmatic brick schedule, so this one
@@ -24,8 +23,6 @@ emptyWorkload()
         std::make_shared<const LayerWorkload>(dnn::NeuronTensor());
     return empty;
 }
-
-std::atomic<bool> g_cyclePlanesEnabled{true};
 
 /**
  * The weight-plane builder a (mode, seed) workload carries:
@@ -55,18 +52,6 @@ streamModeTag(InputStream stream, ActivationMode mode)
 }
 
 } // namespace
-
-void
-setCyclePlanesEnabled(bool enabled)
-{
-    g_cyclePlanesEnabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool
-cyclePlanesEnabled()
-{
-    return g_cyclePlanesEnabled.load(std::memory_order_relaxed);
-}
 
 const char *
 activationModeName(ActivationMode mode)

@@ -37,11 +37,9 @@
  *             the L=0 schedule length, and an upper bound for any L;
  *  - nonZero: non-zero lanes — the zero-skip term count.
  *
- * Since the brick schedule length is monotone in L between orPop
- * (L=0) and maxPop (L=4) — properties asserted by the schedule test
- * suite — engines can serve L=0/L=4 from the planes outright and skip
- * the cycle-by-cycle schedule for any L whenever orPop == maxPop,
- * without changing a single result bit.
+ * The L=0 and L=4 identities are asserted by the workload-cache
+ * tests, so engines serve those two widths from the packed planes
+ * outright.
  *
  * For the intermediate widths (L in 1..3, which include the paper's
  * headline 2-stage design) a workload additionally memoizes
@@ -52,8 +50,9 @@
  * on its input position and L — not on which window visits it — so
  * one plane serves every overlapping window (Fx x Fy revisits), both
  * Pragmatic engines, and every sweep cell sharing the workload. The
- * planes are an exact memoization, not an approximation: results are
- * bit-identical with them on or off (setCyclePlanesEnabled).
+ * planes are an exact memoization, not an approximation: every entry
+ * equals the serial schedule of its brick, which the workload-cache
+ * tests check brick by brick over the smoke grid's streams.
  */
 
 #pragma once
@@ -104,16 +103,12 @@ enum class InputStream { None, Fixed16Raw, Fixed16Trimmed, Quant8 };
  */
 enum class ActivationMode { Synthetic, Propagated };
 
-/**
- * Globally enable/disable serving intermediate-L schedule lengths
- * from the memoized cycle planes (default: enabled). The planes are
- * an exact memoization, so this changes wall-clock only, never a
- * result bit — the switch exists for equivalence tests and A/B
- * timing (--planes=off). Not synchronized with in-flight
- * simulations: flip it only between runs.
- */
-void setCyclePlanesEnabled(bool enabled);
-bool cyclePlanesEnabled();
+/** Always true; prabench still reads it (ROADMAP item 3 deletes it). */
+constexpr bool
+cyclePlanesEnabled()
+{
+    return true;
+}
 
 /** Mode name as accepted by --activations ("synthetic"/"propagated"). */
 const char *activationModeName(ActivationMode mode);

@@ -3,64 +3,14 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <sstream>
 
 #include "util/check.h"
-#include "util/logging.h"
 
 namespace pra {
 namespace util {
 
-void
-RunningStat::add(double x)
-{
-    if (count_ == 0) {
-        min_ = x;
-        max_ = x;
-    } else {
-        min_ = std::min(min_, x);
-        max_ = std::max(max_, x);
-    }
-    count_++;
-    sum_ += x;
-    // Welford's update (see the class comment for why not sumSq).
-    double delta = x - mean_;
-    mean_ += delta / static_cast<double>(count_);
-    m2_ += delta * (x - mean_);
-}
-
-double
-RunningStat::variance() const
-{
-    if (count_ < 2)
-        return 0.0;
-    double var = m2_ / static_cast<double>(count_);
-    return var > 0.0 ? var : 0.0;
-}
-
-void
-RunningStat::reset()
-{
-    count_ = 0;
-    sum_ = 0.0;
-    mean_ = 0.0;
-    m2_ = 0.0;
-    min_ = 0.0;
-    max_ = 0.0;
-}
-
-Histogram::Histogram(uint32_t max_value)
-{
-    PRA_CHECK(static_cast<uint64_t>(max_value) + 1 <= kMaxUnitBuckets,
-              "Histogram: unit-bucket range too large to allocate; "
-              "use Histogram::logSpaced for wide (cycle-scale) "
-              "sample ranges");
-    maxValue_ = max_value;
-    buckets_.assign(static_cast<size_t>(max_value) + 1, 0);
-}
-
 Histogram::Histogram(uint64_t max_value, int sub_bits)
-    : maxValue_(max_value), subBits_(sub_bits), logSpaced_(true)
+    : maxValue_(max_value), subBits_(sub_bits)
 {
     buckets_.assign(indexFor(max_value) + 1, 0);
 }
@@ -78,8 +28,6 @@ Histogram::logSpaced(uint64_t max_value, int sub_bits)
 size_t
 Histogram::indexFor(uint64_t sample) const
 {
-    if (!logSpaced_)
-        return static_cast<size_t>(sample);
     // HDR layout: exact unit buckets below 2 * S (S = 2^subBits);
     // above that, the top subBits+1 significant bits select the
     // bucket — 2^subBits buckets per power of two, relative width
@@ -116,7 +64,7 @@ Histogram::bucketLow(uint32_t index) const
 {
     PRA_CHECK(index < buckets_.size(), "Histogram bucket out of range");
     const uint64_t unit = uint64_t{2} << subBits_;
-    if (!logSpaced_ || index < unit)
+    if (index < unit)
         return index;
     // Invert indexFor: index = (shift << subBits) + (value >> shift)
     // with (value >> shift) in [S, 2S).
@@ -131,7 +79,7 @@ Histogram::bucketHigh(uint32_t index) const
 {
     PRA_CHECK(index < buckets_.size(), "Histogram bucket out of range");
     const uint64_t unit = uint64_t{2} << subBits_;
-    if (!logSpaced_ || index < unit)
+    if (index < unit)
         return index;
     const uint64_t shift = (index >> subBits_) - 1;
     return bucketLow(index) + (uint64_t{1} << shift) - 1;
@@ -165,59 +113,6 @@ Histogram::reset()
     overflow_ = 0;
     count_ = 0;
     sum_ = 0.0;
-}
-
-Counter &
-StatRegistry::counter(const std::string &name)
-{
-    return counters_[name];
-}
-
-RunningStat &
-StatRegistry::runningStat(const std::string &name)
-{
-    return runningStats_[name];
-}
-
-std::vector<std::string>
-StatRegistry::counterNames() const
-{
-    std::vector<std::string> names;
-    names.reserve(counters_.size());
-    for (const auto &kv : counters_)
-        names.push_back(kv.first);
-    return names;
-}
-
-std::vector<std::string>
-StatRegistry::runningStatNames() const
-{
-    std::vector<std::string> names;
-    names.reserve(runningStats_.size());
-    for (const auto &kv : runningStats_)
-        names.push_back(kv.first);
-    return names;
-}
-
-std::string
-StatRegistry::report() const
-{
-    std::ostringstream out;
-    for (const auto &kv : counters_)
-        out << kv.first << " = " << kv.second.value() << "\n";
-    for (const auto &kv : runningStats_) {
-        out << kv.first << " = " << kv.second.mean()
-            << " (n=" << kv.second.count() << ", min=" << kv.second.min()
-            << ", max=" << kv.second.max() << ")\n";
-    }
-    return out.str();
-}
-
-void
-StatRegistry::reset()
-{
-    counters_.clear();
-    runningStats_.clear();
 }
 
 } // namespace util

@@ -1,101 +1,34 @@
 /**
  * @file
- * Lightweight statistics collection for the simulators.
- *
- * Counters, running averages and fixed-bucket histograms. All stats are
- * plain value types; a StatRegistry groups named stats for reporting.
+ * Log-spaced latency histogram for the serving simulator.
  */
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 namespace pra {
 namespace util {
 
-/** A monotonically increasing 64-bit event counter. */
-class Counter
-{
-  public:
-    Counter() = default;
-
-    void increment(uint64_t by = 1) { value_ += by; }
-    uint64_t value() const { return value_; }
-    void reset() { value_ = 0; }
-
-  private:
-    uint64_t value_ = 0;
-};
-
 /**
- * Running mean/min/max/sum over double-valued samples.
+ * Histogram over non-negative integer samples with HDR-style
+ * log-spaced buckets: exact unit buckets up to 2 * 2^subBits, then
+ * 2^subBits geometrically growing buckets per power of two, so a
+ * maxValue of 2^40 cycles costs a few KB instead of 8 TB. Every
+ * bucket's relative width is below 2^-subBits, which bounds the
+ * percentile error the coarsening introduces.
  *
- * Mean and variance use Welford's online algorithm: the naive
- * sum-of-squares formula (sumSq/n - mean^2) cancels catastrophically
- * for large-mean, low-variance samples (cycle counts around 1e12
- * +/- 10 would report a variance of 0), while Welford's update keeps
- * full precision in the centered second moment.
- */
-class RunningStat
-{
-  public:
-    RunningStat() = default;
-
-    /** Record one sample. */
-    void add(double x);
-
-    uint64_t count() const { return count_; }
-    double sum() const { return sum_; }
-    double mean() const { return count_ ? mean_ : 0.0; }
-    double min() const { return count_ ? min_ : 0.0; }
-    double max() const { return count_ ? max_ : 0.0; }
-    /** Population variance (0 for fewer than two samples). */
-    double variance() const;
-    void reset();
-
-  private:
-    uint64_t count_ = 0;
-    double sum_ = 0.0;
-    double mean_ = 0.0; ///< Welford running mean.
-    double m2_ = 0.0;   ///< Welford centered second moment.
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
-
-/**
- * Histogram over non-negative integer samples.
- *
- * Two bucket layouts share one interface:
- *
- *  - **unit-width** (the historical constructor): buckets [0,
- *    maxValue], one value each. Exact, but the bucket array scales
- *    with maxValue, so the constructor rejects ranges whose array
- *    would not comfortably fit in memory (kMaxUnitBuckets).
- *  - **log-spaced** (logSpaced()): HDR-style buckets — exact up to
- *    2 * 2^subBits, then 2^subBits geometrically growing buckets per
- *    power of two, so a maxValue of 2^40 cycles costs a few KB
- *    instead of 8 TB. Every bucket's relative width is below
- *    2^-subBits, which bounds the percentile error the coarsening
- *    introduces.
- *
- * In both layouts samples above maxValue land in a saturating
- * overflow bucket and report as maxValue + 1 from percentile() — a
- * loud sentinel rather than a silently wrong in-range value.
+ * Samples above maxValue land in a saturating overflow bucket and
+ * report as maxValue + 1 from percentile() — a loud sentinel rather
+ * than a silently wrong in-range value.
  */
 class Histogram
 {
   public:
-    /** Largest unit-bucket array the constructor will allocate. */
-    static constexpr uint64_t kMaxUnitBuckets = uint64_t{1} << 24;
-
-    /** @param max_value largest sample with a dedicated bucket. */
-    explicit Histogram(uint32_t max_value = 64);
-
     /**
-     * A log-spaced histogram covering [0, max_value] with
+     * A histogram covering [0, max_value] with
      * 2^sub_bits buckets per power of two (sub_bits in [0, 8]);
      * values up to 2 * 2^sub_bits get exact unit buckets.
      */
@@ -114,7 +47,6 @@ class Histogram
 
     /** Largest sample with a dedicated bucket. */
     uint64_t maxValue() const { return maxValue_; }
-    bool isLogSpaced() const { return logSpaced_; }
 
     /** Smallest sample value bucket @p index covers. */
     uint64_t bucketLow(uint32_t index) const;
@@ -124,9 +56,9 @@ class Histogram
     /**
      * Upper bound of the smallest bucket b such that at least
      * @p fraction of the recorded weight lies in buckets <= b,
-     * clamped to maxValue. Exact for unit buckets (bucket == value);
-     * for log-spaced buckets a conservative (never understated)
-     * value within 2^-subBits relative error. Overflowed samples
+     * clamped to maxValue. Exact below 2 * 2^subBits, above that a
+     * conservative (never understated) value within 2^-subBits
+     * relative error. Overflowed samples
      * saturate to maxValue + 1.
      */
     uint64_t percentile(double fraction) const;
@@ -142,41 +74,10 @@ class Histogram
     std::vector<uint64_t> buckets_;
     uint64_t maxValue_ = 0;
     int subBits_ = 0;
-    bool logSpaced_ = false;
     uint64_t overflow_ = 0;
     uint64_t count_ = 0;
     double sum_ = 0.0;
 };
 
-/**
- * A named collection of counters and running stats for end-of-run
- * reporting. Stats are owned by the registry and looked up by name.
- */
-class StatRegistry
-{
-  public:
-    /** Get (creating on first use) the counter with the given name. */
-    Counter &counter(const std::string &name);
-
-    /** Get (creating on first use) the running stat with @p name. */
-    RunningStat &runningStat(const std::string &name);
-
-    /** Names of all registered counters, sorted. */
-    std::vector<std::string> counterNames() const;
-
-    /** Names of all registered running stats, sorted. */
-    std::vector<std::string> runningStatNames() const;
-
-    /** Render all stats as "name = value" lines. */
-    std::string report() const;
-
-    void reset();
-
-  private:
-    std::map<std::string, Counter> counters_;
-    std::map<std::string, RunningStat> runningStats_;
-};
-
 } // namespace util
 } // namespace pra
-

@@ -1,11 +1,10 @@
 /**
  * @file
- * Per-brick parity of BrickCostModel's three resolution paths: the
- * packed planes plus memoized cycle plane, the planes with the
- * bounds short-circuit and serial schedule (cycle planes off), and no
- * planes at all (a reshaped machine gathers every brick from the
- * tensor). The last is the per-brick reference; all three must agree
- * on {cycles, terms} for every brick at every first-stage width.
+ * Per-brick parity of BrickCostModel's two resolution paths: the
+ * packed planes plus memoized cycle plane, and no planes at all (a
+ * reshaped machine gathers every brick from the tensor). The second
+ * is the per-brick reference; both must agree on {cycles, terms} for
+ * every brick at every first-stage width.
  */
 
 #include <gtest/gtest.h>
@@ -58,7 +57,6 @@ TEST(BrickCost, PlaneLookupsMatchPerBrickReference)
                     ? workload.cyclePlane(bits).data()
                     : nullptr;
             BrickCostModel memoized(tiling, input, planes, cycles, bits);
-            BrickCostModel bounded(tiling, input, planes, nullptr, bits);
             BrickCostModel reference(tiling, input, nullptr, nullptr,
                                      bits);
             for (int64_t w = 0; w < layer.windows(); w++) {
@@ -66,20 +64,42 @@ TEST(BrickCost, PlaneLookupsMatchPerBrickReference)
                     sim::WindowCoord wc = tiling.windowCoord(w);
                     sim::SynapseSetCoord sc = tiling.setCoord(s);
                     BrickCostModel::Cost want = reference.brick(wc, sc);
-                    BrickCostModel::Cost a = memoized.brick(wc, sc);
-                    BrickCostModel::Cost b = bounded.brick(wc, sc);
+                    BrickCostModel::Cost got = memoized.brick(wc, sc);
                     SCOPED_TRACE("seed=" + std::to_string(seed) +
                                  " L=" + std::to_string(bits) +
                                  " w=" + std::to_string(w) +
                                  " s=" + std::to_string(s));
-                    EXPECT_EQ(a.cycles, want.cycles);
-                    EXPECT_EQ(a.terms, want.terms);
-                    EXPECT_EQ(b.cycles, want.cycles);
-                    EXPECT_EQ(b.terms, want.terms);
+                    EXPECT_EQ(got.cycles, want.cycles);
+                    EXPECT_EQ(got.terms, want.terms);
                 }
             }
         }
     }
+}
+
+TEST(BrickCostDeathTest, PlanesAtIntermediateWidthNeedCyclePlane)
+{
+    // Brick planes alone answer L=0 and L=4 only; L=1..3 must come
+    // with the memoized cycle plane (there is no serial fallback).
+    dnn::LayerSpec layer;
+    layer.name = "no-cycle-plane";
+    layer.inputX = 4;
+    layer.inputY = 4;
+    layer.inputChannels = 16;
+    layer.filterX = 1;
+    layer.filterY = 1;
+    layer.numFilters = 16;
+    layer.profiledPrecision = 8;
+    sim::LayerTiling tiling(layer, sim::AccelConfig{});
+    dnn::NeuronTensor input(4, 4, 16);
+    sim::LayerWorkload workload(input);
+    const sim::BrickPlanes *planes = &workload.brickPlanes();
+    EXPECT_DEATH(BrickCostModel(tiling, input, planes, nullptr, 2),
+                 "need their cycle plane");
+    // The L=0/L=4 plane paths and the tensor path need none.
+    BrickCostModel(tiling, input, planes, nullptr, 0);
+    BrickCostModel(tiling, input, planes, nullptr, kMaxFirstStageBits);
+    BrickCostModel(tiling, input, nullptr, nullptr, 2);
 }
 
 } // namespace

@@ -204,36 +204,6 @@ TEST(Sweep, MatchesUncachedSerialOracle)
                           "threads=" + std::to_string(threads));
 }
 
-TEST(Sweep, CyclePlanesOffByteIdenticalCsv)
-{
-    // The schedule-cycle planes are an exact memoization: with them
-    // force-disabled every intermediate-L brick falls back to the
-    // bounds short-circuit + serial schedule, and the emitted CSV
-    // must stay byte-identical. Cover both Pragmatic engines at every
-    // width the planes memoize, plus the L=0/4 edges they do not.
-    std::vector<dnn::Network> networks = {dnn::makeTinyNetwork()};
-    std::vector<EngineSelection> grid;
-    for (int l = 0; l <= 4; l++) {
-        grid.push_back({"pragmatic", {{"bits", std::to_string(l)}}});
-        grid.push_back(
-            {"pragmatic-col", {{"bits", std::to_string(l)}}});
-    }
-    ASSERT_TRUE(cyclePlanesEnabled()); // Planes are the default.
-    auto with = runSweep(networks, grid, models::builtinEngines(),
-                         tinyOptions(1));
-    setCyclePlanesEnabled(false);
-    auto without = runSweep(networks, grid, models::builtinEngines(),
-                            tinyOptions(1));
-    setCyclePlanesEnabled(true);
-    expectSameResults(with, without, "planes=off");
-
-    std::ostringstream with_csv;
-    writeSweepCsv(with_csv, with, /*per_layer=*/true);
-    std::ostringstream without_csv;
-    writeSweepCsv(without_csv, without, /*per_layer=*/true);
-    EXPECT_EQ(with_csv.str(), without_csv.str());
-}
-
 TEST(Sweep, PropagatedModeMatchesUncachedOracle)
 {
     // Propagated-mode invariants: the forward-pass workloads must be

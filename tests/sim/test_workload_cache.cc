@@ -11,6 +11,8 @@
 #include <bit>
 #include <memory>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "dnn/activation_synth.h"
@@ -109,42 +111,77 @@ TEST(BrickPlanes, ScheduleIdentitiesHold)
     }
 }
 
+/**
+ * Expect every cycle-plane entry of @p workload at L = 1..3 to equal
+ * the serial schedule of its brick, visiting every @p step-th row and
+ * column of brick positions.
+ */
+void
+expectCyclePlanesMatchSerial(const LayerWorkload &workload, int step)
+{
+    const dnn::NeuronTensor &tensor = workload.tensor();
+    const BrickPlanes &planes = workload.brickPlanes();
+    for (int l = 1; l <= 3; l++) {
+        std::span<const uint8_t> plane = workload.cyclePlane(l);
+        ASSERT_EQ(plane.size(), planes.pop.size());
+        for (int y = 0; y < tensor.sizeY(); y += step) {
+            for (int x = 0; x < tensor.sizeX(); x += step) {
+                for (int b = 0; b < planes.bricksPerColumn; b++) {
+                    int lanes = std::min(dnn::kBrickSize,
+                                         tensor.sizeI() -
+                                             b * dnn::kBrickSize);
+                    std::span<const uint16_t> brick(
+                        &tensor.at(x, y, b * dnn::kBrickSize),
+                        static_cast<size_t>(lanes));
+                    ASSERT_EQ(plane[planes.index(x, y, b)],
+                              models::brickScheduleCycles(brick, l))
+                        << "x=" << x << " y=" << y << " b=" << b
+                        << " l=" << l;
+                }
+            }
+        }
+    }
+}
+
 TEST(BrickPlanes, CyclePlanesMatchSerialScheduleEverywhere)
 {
     // The memoized cycle planes must hold the exact serial schedule
     // length of every brick for every first-stage width they serve
-    // (L in 1..3), and the packed planes already pin L=0 (orPop) and
-    // L=4 (maxPop). Real streams of both shapes: AlexNet conv3's
-    // 256-channel multiple-of-16 bricks and Tiny's 8-channel partial
-    // bricks.
-    for (bool partial : {false, true}) {
-        auto net = partial ? dnn::makeTinyNetwork()
-                           : dnn::makeAlexNet();
+    // (L in 1..3); the packed planes already pin L=0 (orPop) and L=4
+    // (maxPop). This is the oracle behind the Pragmatic engines' only
+    // plane path. AlexNet conv3's 256-channel multiple-of-16 bricks,
+    // sampled:
+    {
+        dnn::ActivationSynthesizer synth(dnn::makeAlexNet());
+        LayerWorkload conv3(synth.synthesizeFixed16(2));
+        expectCyclePlanesMatchSerial(conv3, 5);
+    }
+    // Every brick of every stream the smoke grids price: Tiny (8- and
+    // 24-channel partial bricks, the FC tail's 1x1x800 column) under
+    // conv and all-layer selections, synthetic and propagated, every
+    // stream, and the four images of a --batch=4 run. Propagation
+    // needs the whole pipeline, so it has no conv-only grid.
+    const std::pair<const char *, ActivationMode> grids[] = {
+        {"conv", ActivationMode::Synthetic},
+        {"all", ActivationMode::Synthetic},
+        {"all", ActivationMode::Propagated}};
+    for (auto [layers, mode] : grids) {
+        SCOPED_TRACE(std::string(layers) + " layers, " +
+                     activationModeName(mode));
+        auto net = dnn::makeTinyNetwork(dnn::parseLayerSelect(layers));
         dnn::ActivationSynthesizer synth(net);
-        LayerWorkload workload(
-            synth.synthesizeFixed16(partial ? 0 : 2));
-        const dnn::NeuronTensor &tensor = workload.tensor();
-        const BrickPlanes &planes = workload.brickPlanes();
-        int step = partial ? 1 : 5; // Sample the big stream.
-        for (int l = 1; l <= 3; l++) {
-            std::span<const uint8_t> plane = workload.cyclePlane(l);
-            ASSERT_EQ(plane.size(), planes.pop.size());
-            for (int y = 0; y < tensor.sizeY(); y += step) {
-                for (int x = 0; x < tensor.sizeX(); x += step) {
-                    for (int b = 0; b < planes.bricksPerColumn; b++) {
-                        int lanes =
-                            std::min(dnn::kBrickSize,
-                                     tensor.sizeI() -
-                                         b * dnn::kBrickSize);
-                        std::span<const uint16_t> brick(
-                            &tensor.at(x, y, b * dnn::kBrickSize),
-                            static_cast<size_t>(lanes));
-                        EXPECT_EQ(
-                            plane[planes.index(x, y, b)],
-                            models::brickScheduleCycles(brick, l))
-                            << "x=" << x << " y=" << y << " b=" << b
-                            << " l=" << l;
-                    }
+        for (int image = 0; image < 4; image++) {
+            SCOPED_TRACE("image " + std::to_string(image));
+            WorkloadSource source =
+                WorkloadSource(synth, mode).withImage(image);
+            for (size_t i = 0; i < net.layers.size(); i++) {
+                if (!net.layers[i].priced())
+                    continue;
+                SCOPED_TRACE(net.layers[i].name);
+                for (InputStream stream : kStreams) {
+                    SCOPED_TRACE(static_cast<int>(stream));
+                    expectCyclePlanesMatchSerial(
+                        *source.layer(static_cast<int>(i), stream), 1);
                 }
             }
         }
@@ -204,18 +241,6 @@ TEST(BrickPlanesDeathTest, CyclePlaneRejectsNonMemoizedWidths)
     EXPECT_DEATH(workload.cyclePlane(4), "intermediate");
     LayerWorkload empty{dnn::NeuronTensor()};
     EXPECT_DEATH(empty.cyclePlane(2), "empty workload");
-}
-
-TEST(WorkloadCache, CyclePlanesToggleRoundTrips)
-{
-    // The global switch only routes the lookup; it must read back
-    // and leave results unchanged (the sweep suite asserts CSV
-    // byte-identity; here just the toggle mechanics).
-    ASSERT_TRUE(cyclePlanesEnabled()); // Default: on.
-    setCyclePlanesEnabled(false);
-    EXPECT_FALSE(cyclePlanesEnabled());
-    setCyclePlanesEnabled(true);
-    EXPECT_TRUE(cyclePlanesEnabled());
 }
 
 TEST(WorkloadCache, SharesOneWorkloadPerKey)

@@ -66,8 +66,8 @@ TEST(ArgParser, ExplicitBooleanValues)
 
 TEST(ArgParserDeathTest, RejectsMalformedBoolean)
 {
-    auto args = parse({"--planes=of"});
-    EXPECT_DEATH(args.getBool("planes", true), "expects a boolean");
+    auto args = parse({"--per-layer=of"});
+    EXPECT_DEATH(args.getBool("per-layer"), "expects a boolean");
 }
 
 TEST(ArgParser, IntAtLeastAcceptsTheFullIntRange)

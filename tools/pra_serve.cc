@@ -9,7 +9,7 @@
  *             [--memory=off|ideal|preset]
  *             [--traffic=R1,R2,...] [--arrival=poisson|uniform]
  *             [--instances=N] [--max-batch=B] [--timeout=CYCLES]
- *             [--requests=N] [--threads=N] [--planes=on|off]
+ *             [--requests=N] [--threads=N]
  *             [--units=N | --full] [--seed=S] [--csv=FILE] [--smoke]
  *             [--mtbf=CYCLES] [--mttr=CYCLES]
  *             [--fault-dist=exponential|fixed] [--fault-seed=S]
@@ -66,6 +66,7 @@
 #include "dnn/model_zoo.h"
 #include "models/engines.h"
 #include "sim/memory/memory_config.h"
+#include "sim/sampling.h"
 #include "sim/serving/serving_sim.h"
 #include "util/args.h"
 #include "util/atomic_file.h"
@@ -81,11 +82,10 @@ main(int argc, char **argv)
     args.checkUnknown({"networks", "engines", "layers", "activations",
                        "memory", "traffic", "arrival", "instances",
                        "max-batch", "timeout", "requests", "threads",
-                       "planes", "units", "full", "seed", "csv",
+                       "units", "full", "seed", "csv",
                        "smoke", "list-engines", "list-memory", "mtbf",
                        "mttr", "fault-dist", "fault-seed", "queue-cap",
                        "retries", "backoff", "degrade-watermark"});
-    sim::setCyclePlanesEnabled(args.getBool("planes", true));
 
     if (args.getBool("list-engines")) {
         const auto &registry = models::builtinEngines();
@@ -126,13 +126,7 @@ main(int argc, char **argv)
     options.activations = activations;
     options.accel.memory =
         sim::parseMemoryPreset(args.getString("memory", "off"));
-    int64_t default_units = smoke ? 4 : 64;
-    int64_t units = args.getInt("units", default_units);
-    if (args.has("units") && units <= 0)
-        util::fatal("--units must be a positive sampling cap (got " +
-                    std::to_string(units) +
-                    "); use --full for an exhaustive run");
-    options.sample.maxUnits = args.getBool("full") ? 0 : units;
+    options.sample = sim::parseSampleSpec(args, smoke ? 4 : 64);
     int64_t seed = args.getInt("seed", 0x5eed);
     if (seed < 0)
         util::fatal("--seed must be non-negative (got " +

@@ -6,7 +6,7 @@
  *             [--layers=conv|fc|all]
  *             [--activations=synthetic|propagated]
  *             [--memory=off|ideal|preset] [--batch=B] [--shard=i/N]
- *             [--threads=N] [--planes=on|off]
+ *             [--threads=N]
  *             [--units=N | --full] [--seed=S]
  *             [--csv=FILE] [--per-layer] [--smoke] [--list-engines]
  *             [--list-memory]
@@ -59,13 +59,6 @@
  * fan out across jobs. The speedup summary needs the whole grid and
  * is skipped when sharded.
  *
- * "--planes=off" stops serving intermediate-L (1..3) schedule
- * lengths from the memoized per-workload cycle planes and falls back
- * to the bounds short-circuit plus the serial per-brick schedule;
- * the planes are an exact memoization, so output is byte-identical
- * either way (a sweep test and ctest assert this) — the switch
- * exists for A/B timing and equivalence checks.
- *
  * Cells share one workload cache and split layers across spare
  * workers only when the grid has fewer cells than --threads; output
  * is bit-identical for any --threads value.
@@ -79,6 +72,7 @@
 #include "energy/memory_energy.h"
 #include "models/engines.h"
 #include "sim/memory/memory_config.h"
+#include "sim/sampling.h"
 #include "sim/sweep.h"
 #include "util/args.h"
 #include "util/atomic_file.h"
@@ -165,10 +159,9 @@ main(int argc, char **argv)
     util::ArgParser args(argc, argv);
     args.checkUnknown({"networks", "engines", "layers", "activations",
                        "memory", "batch", "shard", "threads",
-                       "planes", "units", "full", "seed", "csv",
+                       "units", "full", "seed", "csv",
                        "per-layer", "smoke", "list-engines",
                        "list-memory"});
-    sim::setCyclePlanesEnabled(args.getBool("planes", true));
 
     if (args.getBool("list-engines")) {
         const auto &registry = models::builtinEngines();
@@ -211,16 +204,7 @@ main(int argc, char **argv)
     options.activations = activations;
     options.accel.memory =
         sim::parseMemoryPreset(args.getString("memory", "off"));
-    int64_t default_units = smoke ? 4 : 64;
-    // A sampling cap of zero would silently mean "simulate
-    // everything" (the --full semantics); a user asking for zero or
-    // negative units gets an error, not the opposite of the request.
-    int64_t units = args.getInt("units", default_units);
-    if (args.has("units") && units <= 0)
-        util::fatal("--units must be a positive sampling cap (got " +
-                    std::to_string(units) +
-                    "); use --full for an exhaustive run");
-    options.sample.maxUnits = args.getBool("full") ? 0 : units;
+    options.sample = sim::parseSampleSpec(args, smoke ? 4 : 64);
     int64_t seed = args.getInt("seed", 0x5eed);
     if (seed < 0)
         util::fatal("--seed must be non-negative (got " +
