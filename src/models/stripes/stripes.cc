@@ -68,10 +68,11 @@ StripesModel::layerResult(const dnn::LayerSpec &layer,
     lr.cycles = layerCycles(layer, precision);
     lr.effectualTerms = static_cast<double>(layer.products()) *
                         precision;
-    lr.sbReadSteps = static_cast<double>(layer.windows()) *
-                     sim::LayerTiling(layer, config_)
-                         .numSynapseSets() /
-                     config_.windowsPerPallet;
+    // One SB read per pallet step, as in every pallet-synced model.
+    sim::LayerTiling tiling(layer, config_);
+    lr.sbReadSteps = static_cast<double>(tiling.passes()) *
+                     static_cast<double>(tiling.numPallets()) *
+                     static_cast<double>(tiling.numSynapseSets());
     return lr;
 }
 

@@ -30,8 +30,11 @@ namespace sim {
  *    NM stalls report 0.
  *  - effectualTerms: non-zero oneffset terms processed (for DaDN:
  *    all terms — it processes everything).
- *  - sbReadSteps: synapse-buffer read operations (one per pallet
- *    step; identical across designs by construction, Section V-E).
+ *  - sbReadSteps: synapse-buffer read operations. Every
+ *    pallet-synced design (Stripes, Dynamic-Stripes, both Pragmatic
+ *    schemes, Laconic) reads once per (pass, pallet, synapse set),
+ *    Section V-E; DaDN reads once per cycle, one window at a time;
+ *    the analytic terms engines report 0.
  *  - sampleScale: the sampling scale factor applied to the counts
  *    above (1.0 for exhaustive runs).
  *

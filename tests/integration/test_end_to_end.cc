@@ -173,6 +173,37 @@ TEST(EndToEnd, CycleCountOrderingAcrossEngines)
     EXPECT_GE(col * 1.001, ide);
 }
 
+TEST(EndToEnd, PalletSyncedEnginesReadSbOncePerPalletStep)
+{
+    // Every pallet-synced design reads the SB once per (pass, pallet,
+    // synapse set), whatever its per-step cycle count.
+    const std::vector<sim::EngineSelection> grid = {
+        {"stripes", {}},
+        {"dynamic_stripes", {}},
+        {"dynamic_stripes", {{"granularity", "layer"}}},
+        {"pragmatic", {}},
+        {"pragmatic-col", {}},
+        {"laconic", {}}};
+    for (const dnn::Network &net :
+         {dnn::makeTinyNetwork(dnn::LayerSelect::All),
+          dnn::makeAlexNet(dnn::LayerSelect::All)}) {
+        dnn::ActivationSynthesizer synth(net);
+        std::vector<sim::NetworkResult> results;
+        for (const sim::EngineSelection &sel : grid)
+            results.push_back(builtinEngines().create(sel)->runNetwork(
+                net, synth, sim::AccelConfig{}, sim::SampleSpec{1}));
+        const sim::NetworkResult &want = results.front();
+        for (const sim::NetworkResult &got : results) {
+            ASSERT_EQ(got.layers.size(), want.layers.size());
+            for (size_t l = 0; l < want.layers.size(); l++)
+                EXPECT_EQ(got.layers[l].sbReadSteps,
+                          want.layers[l].sbReadSteps)
+                    << net.name << "/" << want.layers[l].layerName
+                    << " " << got.engineName;
+        }
+    }
+}
+
 } // namespace
 } // namespace models
 } // namespace pra

@@ -349,7 +349,7 @@ TEST(Sweep, DefaultConvSmokeCsvIsPinnedToSeedOutput)
         "Tiny,DaDN,3096,0,15040512,3096\n"
         "Tiny,PRA-2b,1416.25,29.75,1674794,207\n"
         "Tiny,PRA-2b-1R,1120.5,132.125,1674794,207\n"
-        "Tiny,Stripes,1530,0,6829056,193.5\n"
+        "Tiny,Stripes,1530,0,6829056,207\n"
         "Tiny,terms-pra-red,1265568,0,1265568,0\n";
 
     std::vector<dnn::Network> networks = {dnn::makeTinyNetwork()};
