@@ -17,8 +17,7 @@
 #include <cstdio>
 
 #include "bench/common.h"
-#include "models/dadn/dadn.h"
-#include "models/pragmatic/pragmatic_engine.h"
+#include "models/engines.h"
 #include "sim/sampling.h"
 #include "sim/workload_cache.h"
 #include "util/args.h"
@@ -52,8 +51,9 @@ main(int argc, char **argv)
     sim::WorkloadCache cache;
     auto synth = cache.synthesizer(net, 0x5eed);
     sim::WorkloadSource source(*synth, cache);
-    models::PragmaticEngine prag_engine(models::SyncScheme::Pallet,
-                                        {{"bits", "2"}});
+    auto dadn = models::builtinEngines().create("dadn");
+    auto pra = models::builtinEngines().create("pragmatic",
+                                               {{"bits", "2"}});
 
     report.phase("grid");
     util::TextTable table({"windows/pallet", "tiles", "PRA cycles",
@@ -63,17 +63,19 @@ main(int argc, char **argv)
             sim::AccelConfig accel;
             accel.windowsPerPallet = windows;
             accel.tiles = tiles;
-            models::DadnModel dadn(accel);
-            double base = dadn.run(net).totalCycles();
-            double pra = prag_engine
-                             .runNetwork(net, source, accel, sample,
-                                         util::InnerExecutor())
-                             .totalCycles();
+            auto cycles = [&](const sim::Engine &engine) {
+                return engine
+                    .runNetwork(net, source, accel, sample,
+                                util::InnerExecutor())
+                    .totalCycles();
+            };
+            double base = cycles(*dadn);
+            double pra_cycles = cycles(*pra);
             table.addRow({std::to_string(windows),
                           std::to_string(tiles),
-                          util::formatDouble(pra, 0),
+                          util::formatDouble(pra_cycles, 0),
                           util::formatDouble(base, 0),
-                          util::formatDouble(base / pra)});
+                          util::formatDouble(base / pra_cycles)});
         }
     }
     report.phase("render");

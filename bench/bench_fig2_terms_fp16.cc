@@ -3,12 +3,18 @@
  * Reproduces Figure 2: convolutional-layer computational demand
  * (terms, normalized to DaDN) for ZN, CVN, Stripes, PRA-fp16 and
  * PRA-red with the 16-bit fixed-point representation.
+ *
+ * Each series is one "terms" engine priced through the sweep
+ * subsystem; a series' network total over the DaDN series' total is
+ * its relative term count.
  */
 
 #include <cstdio>
+#include <string>
 
 #include "bench/common.h"
-#include "models/analytic/term_count.h"
+#include "models/engines.h"
+#include "sim/sweep.h"
 #include "util/table.h"
 
 using namespace pra;
@@ -20,29 +26,39 @@ main(int argc, char **argv)
     bench::banner("Relative term counts, 16-bit fixed point",
                   "Figure 2");
 
+    // The DaDN series first: the baseline every column divides by.
+    std::vector<sim::EngineSelection> engines;
+    for (const char *series :
+         {"dadn", "zn", "cvn", "stripes", "pra", "pra-red"})
+        engines.push_back({"terms", {{"series", series}}});
+
+    sim::SweepOptions sweep;
+    sweep.threads = opt.threads;
+    sweep.sample = opt.sample;
+    sweep.seed = opt.seed;
+    auto results = sim::runSweep(opt.networks, engines,
+                                 models::builtinEngines(), sweep);
+
     util::TextTable table({"network", "ZN", "CVN", "STR", "PRA-fp16",
                            "PRA-red"});
-    double sums[5] = {};
-    for (const auto &net : opt.networks) {
-        dnn::ActivationSynthesizer synth(net, opt.seed);
-        auto rel = models::countNetworkTerms16(net, synth, opt.sample);
-        table.addRow({net.name, util::formatPercent(rel.zn),
-                      util::formatPercent(rel.cvn),
-                      util::formatPercent(rel.stripes),
-                      util::formatPercent(rel.praFp16),
-                      util::formatPercent(rel.praRed)});
-        sums[0] += rel.zn;
-        sums[1] += rel.cvn;
-        sums[2] += rel.stripes;
-        sums[3] += rel.praFp16;
-        sums[4] += rel.praRed;
+    const size_t series = engines.size() - 1; // All but the baseline.
+    std::vector<double> sums(series);
+    for (size_t n = 0; n < opt.networks.size(); n++) {
+        double dadn = results[n * engines.size()].totalCycles();
+        std::vector<std::string> row = {opt.networks[n].name};
+        for (size_t e = 0; e < series; e++) {
+            double rel =
+                results[n * engines.size() + e + 1].totalCycles() / dadn;
+            sums[e] += rel;
+            row.push_back(util::formatPercent(rel));
+        }
+        table.addRow(row);
     }
     double n = static_cast<double>(opt.networks.size());
-    table.addRow({"average", util::formatPercent(sums[0] / n),
-                  util::formatPercent(sums[1] / n),
-                  util::formatPercent(sums[2] / n),
-                  util::formatPercent(sums[3] / n),
-                  util::formatPercent(sums[4] / n)});
+    std::vector<std::string> average = {"average"};
+    for (double sum : sums)
+        average.push_back(util::formatPercent(sum / n));
+    table.addRow(average);
     std::printf("%s\n", table.render().c_str());
     std::printf("Paper averages: ZN 39%%, CVN 63%%, STR 53%%, "
                 "PRA-fp16 10%%, PRA-red 8%% (lower is better).\n");

@@ -21,8 +21,8 @@
 #include "fixedpoint/fixed_point.h"
 #include "fixedpoint/oneffset.h"
 #include "models/pragmatic/pip.h"
+#include "models/pragmatic/pragmatic_engine.h"
 #include "models/pragmatic/schedule.h"
-#include "models/pragmatic/tile.h"
 #include "sim/operand_planes.h"
 #include "sim/workload_cache.h"
 #include "util/random.h"
@@ -270,12 +270,12 @@ BM_PalletSyncLayerTensor(benchmark::State &state)
     auto net = dnn::makeAlexNet();
     dnn::ActivationSynthesizer synth(net);
     auto tensor = synth.synthesizeFixed16Trimmed(2);
-    models::PragmaticTileConfig tile;
-    tile.firstStageBits = static_cast<int>(state.range(0));
+    models::PragmaticConfig config;
+    config.firstStageBits = static_cast<int>(state.range(0));
     for (auto _ : state)
         benchmark::DoNotOptimize(models::simulateLayerPalletSync(
             net.layers[2], sim::LayerWorkload(tensor), sim::AccelConfig{},
-            tile, sim::SampleSpec{16}, util::InnerExecutor()));
+            config, sim::SampleSpec{16}, util::InnerExecutor()));
 }
 BENCHMARK(BM_PalletSyncLayerTensor)->DenseRange(0, 4, 2);
 
@@ -286,11 +286,11 @@ BM_PalletSyncLayerWorkload(benchmark::State &state)
     dnn::ActivationSynthesizer synth(net);
     sim::LayerWorkload workload(synth.synthesizeFixed16Trimmed(2));
     workload.brickPlanes(); // Build outside the timed region.
-    models::PragmaticTileConfig tile;
-    tile.firstStageBits = static_cast<int>(state.range(0));
+    models::PragmaticConfig config;
+    config.firstStageBits = static_cast<int>(state.range(0));
     for (auto _ : state)
         benchmark::DoNotOptimize(models::simulateLayerPalletSync(
-            net.layers[2], workload, sim::AccelConfig{}, tile,
+            net.layers[2], workload, sim::AccelConfig{}, config,
             sim::SampleSpec{16}, util::InnerExecutor()));
 }
 BENCHMARK(BM_PalletSyncLayerWorkload)->DenseRange(0, 4, 2);
@@ -310,11 +310,11 @@ BM_FcLoweringPalletSync(benchmark::State &state)
     int fc8 = static_cast<int>(net.layers.size()) - 1;
     sim::LayerWorkload workload(synth.synthesizeFixed16Trimmed(fc8));
     workload.brickPlanes(); // Build outside the timed region.
-    models::PragmaticTileConfig tile;
-    tile.firstStageBits = static_cast<int>(state.range(0));
+    models::PragmaticConfig config;
+    config.firstStageBits = static_cast<int>(state.range(0));
     for (auto _ : state)
         benchmark::DoNotOptimize(models::simulateLayerPalletSync(
-            net.layers[fc8], workload, sim::AccelConfig{}, tile,
+            net.layers[fc8], workload, sim::AccelConfig{}, config,
             sim::SampleSpec{0}, util::InnerExecutor()));
 }
 BENCHMARK(BM_FcLoweringPalletSync)->DenseRange(0, 4, 2);

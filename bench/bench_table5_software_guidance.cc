@@ -8,10 +8,9 @@
 #include <cstdio>
 
 #include "bench/common.h"
-#include "dnn/activation_synth.h"
-#include "models/dadn/dadn.h"
 #include "models/engines.h"
 #include "sim/layer_result.h"
+#include "sim/sweep.h"
 #include "util/table.h"
 
 using namespace pra;
@@ -23,26 +22,26 @@ main(int argc, char **argv)
     bench::banner("Performance benefit of software guidance",
                   "Table V");
 
-    models::DadnModel dadn;
-    auto trimmed = models::builtinEngines().create(
-        "pragmatic-col", {{"bits", "2"}, {"ssr", "1"}});
-    auto raw = models::builtinEngines().create(
-        "pragmatic-col", {{"bits", "2"}, {"ssr", "1"}, {"trim", "0"}});
+    // DaDN, then PRA-2b-1R with and without the trimming guidance.
+    const std::vector<sim::EngineSelection> engines = {
+        {"dadn", {}},
+        {"pragmatic-col", {{"bits", "2"}, {"ssr", "1"}}},
+        {"pragmatic-col", {{"bits", "2"}, {"ssr", "1"}, {"trim", "0"}}}};
+    sim::SweepOptions sweep;
+    sweep.threads = opt.threads;
+    sweep.sample = opt.sample;
+    sweep.seed = opt.seed;
+    auto results = sim::runSweep(opt.networks, engines,
+                                 models::builtinEngines(), sweep);
 
     util::TextTable table({"network", "with trim", "without", "benefit",
                            "paper"});
     double sum = 0.0;
-    for (const auto &net : opt.networks) {
-        double base = dadn.run(net).totalCycles();
-        dnn::ActivationSynthesizer synth(net, opt.seed);
-        auto speedup = [&](const sim::Engine &engine) {
-            return base / engine
-                              .runNetwork(net, synth, sim::AccelConfig{},
-                                          opt.sample)
-                              .totalCycles();
-        };
-        double with = speedup(*trimmed);
-        double without = speedup(*raw);
+    for (size_t n = 0; n < opt.networks.size(); n++) {
+        const dnn::Network &net = opt.networks[n];
+        const sim::NetworkResult *row = &results[n * engines.size()];
+        double with = row[1].speedupOver(row[0]);
+        double without = row[2].speedupOver(row[0]);
         double benefit = with / without - 1.0;
         sum += benefit;
         table.addRow({net.name, util::formatDouble(with),

@@ -15,9 +15,7 @@
 
 #include "dnn/activation_synth.h"
 #include "dnn/model_zoo.h"
-#include "models/dadn/dadn.h"
 #include "models/engines.h"
-#include "models/stripes/stripes.h"
 #include "sim/layer_result.h"
 #include "sim/sampling.h"
 #include "util/args.h"
@@ -35,16 +33,14 @@ main(int argc, char **argv)
         dnn::makeNetworkByName(args.getString("network", "alexnet"));
     sim::SampleSpec sample = sim::parseSampleSpec(args, 64);
 
-    models::DadnModel dadn;
-    models::StripesModel stripes;
     dnn::ActivationSynthesizer synth(net);
     auto run = [&](const sim::EngineSelection &sel) {
         return models::builtinEngines().create(sel)->runNetwork(
             net, synth, sim::AccelConfig{}, sample);
     };
 
-    auto base = dadn.run(net);
-    auto str = stripes.run(net);
+    auto base = run({"dadn", {}});
+    auto str = run({"stripes", {}});
     auto pra = run({"pragmatic", {}});
     auto col = run({"pragmatic-col", {{"ssr", "1"}}});
 

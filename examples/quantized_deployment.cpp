@@ -16,7 +16,6 @@
 #include "dnn/model_zoo.h"
 #include "fixedpoint/fixed_point.h"
 #include "fixedpoint/quantization.h"
-#include "models/dadn/dadn.h"
 #include "models/engines.h"
 #include "sim/sampling.h"
 #include "util/args.h"
@@ -70,8 +69,13 @@ main(int argc, char **argv)
                             t.flat(), 8));
 
     // 3. Performance with the quantized representation.
-    models::DadnModel dadn;
-    double base = dadn.run(net).totalCycles();
+    auto cycles = [&](const sim::EngineSelection &sel) {
+        return models::builtinEngines()
+            .create(sel)
+            ->runNetwork(net, synth, sim::AccelConfig{}, sample)
+            .totalCycles();
+    };
+    double base = cycles({"dadn", {}});
 
     util::TextTable table({"design", "speedup vs 8-bit DaDN"});
     const std::pair<const char *, sim::EngineSelection> designs[] = {
@@ -81,14 +85,8 @@ main(int argc, char **argv)
         {"PRA-2b-ideal",
          {"pragmatic-col", {{"repr", "quant8"}, {"ssr", "0"}}}},
     };
-    for (const auto &[label, sel] : designs) {
-        double s = base / models::builtinEngines()
-                              .create(sel)
-                              ->runNetwork(net, synth, sim::AccelConfig{},
-                                           sample)
-                              .totalCycles();
-        table.addRow({label, util::formatDouble(s)});
-    }
+    for (const auto &[label, sel] : designs)
+        table.addRow({label, util::formatDouble(base / cycles(sel))});
     std::printf("%s\n", table.render().c_str());
     std::printf("Pragmatic's benefit persists at 8 bits because LoE "
                 "(zero bits inside the\ncodes) remains even after EoP "

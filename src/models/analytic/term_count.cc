@@ -103,39 +103,6 @@ countLayerTerms16(const dnn::LayerSpec &layer,
     return counts;
 }
 
-NetworkTerms16
-countNetworkTerms16(const dnn::Network &network,
-                    const dnn::ActivationSynthesizer &synth,
-                    const sim::SampleSpec &sample)
-{
-    LayerTermCounts totals;
-    for (size_t i = 0; i < network.layers.size(); i++) {
-        if (!network.layers[i].priced())
-            continue; // Structural pools contribute no terms.
-        sim::LayerWorkload raw(
-            synth.synthesizeFixed16(static_cast<int>(i)));
-        sim::LayerWorkload trimmed(
-            synth.synthesizeFixed16Trimmed(static_cast<int>(i)));
-        LayerTermCounts c = countLayerTerms16(network.layers[i], raw,
-                                              trimmed, i == 0, sample);
-        totals.dadn += c.dadn;
-        totals.zn += c.zn;
-        totals.cvn += c.cvn;
-        totals.stripes += c.stripes;
-        totals.praRaw += c.praRaw;
-        totals.praTrimmed += c.praTrimmed;
-    }
-    PRA_CHECK(totals.dadn > 0.0,
-                         "countNetworkTerms16: zero baseline");
-    NetworkTerms16 rel;
-    rel.zn = totals.zn / totals.dadn;
-    rel.cvn = totals.cvn / totals.dadn;
-    rel.stripes = totals.stripes / totals.dadn;
-    rel.praFp16 = totals.praRaw / totals.dadn;
-    rel.praRed = totals.praTrimmed / totals.dadn;
-    return rel;
-}
-
 NetworkTerms8
 countNetworkTerms8(const dnn::Network &network,
                    const dnn::ActivationSynthesizer &synth,

@@ -56,21 +56,6 @@ countLayerTerms16(const dnn::LayerSpec &layer,
                   const sim::LayerWorkload &trimmed,
                   bool is_first_layer, const sim::SampleSpec &sample);
 
-/** Relative (to DaDN) term counts for one network, 16-bit stream. */
-struct NetworkTerms16
-{
-    double zn = 0.0;
-    double cvn = 0.0;
-    double stripes = 0.0;
-    double praFp16 = 0.0;
-    double praRed = 0.0;
-};
-
-/** Compute Figure 2's series for one network. */
-NetworkTerms16 countNetworkTerms16(const dnn::Network &network,
-                                   const dnn::ActivationSynthesizer &synth,
-                                   const sim::SampleSpec &sample);
-
 /** Relative (to the 8-bit baseline) term counts, quantized stream. */
 struct NetworkTerms8
 {

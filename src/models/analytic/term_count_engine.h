@@ -1,10 +1,10 @@
 /**
  * @file
- * Engine-registry adapter for the analytic term-count model (kind
- * "terms").
+ * The analytic term-count model behind the engine registry (kind
+ * "terms"): Figure 2's series, one per engine.
  *
  * The analytic model measures *work* (single-bit terms, the paper's
- * Figure 2 metric), not timed cycles; the adapter reports the selected
+ * Figure 2 metric), not timed cycles; the engine reports the selected
  * series' term count in both the cycles and effectualTerms fields, so
  * ratios between two "terms" engines reproduce the paper's relative
  * work-reduction numbers (e.g. terms:series=dadn over
@@ -14,7 +14,7 @@
  *   series=dadn|zn|cvn|stripes|pra|pra-red   (default pra-red)
  *     dadn     16 terms per product (bit-parallel baseline)
  *     zn       ideal zero-neuron skipping
- *     cvn      Cnvlutin (no skipping in the first layer)
+ *     cvn      Cnvlutin (no skipping in a leading conv layer)
  *     stripes  p terms per product at profiled precision p
  *     pra      essential bits of the raw neurons
  *     pra-red  essential bits after Section V-F trimming

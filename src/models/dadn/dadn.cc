@@ -1,68 +1,52 @@
 #include "models/dadn/dadn.h"
 
+#include <algorithm>
+
 #include "sim/tiling.h"
 #include "util/check.h"
-#include "util/logging.h"
 
 namespace pra {
 namespace models {
 
-DadnModel::DadnModel(const sim::AccelConfig &config)
-    : config_(config)
+DadnEngine::DadnEngine(const sim::EngineKnobs &knobs)
 {
-    PRA_CHECK(config_.valid(), "DadnModel: invalid config");
-}
-
-double
-DadnModel::layerCycles(const dnn::LayerSpec &layer) const
-{
-    sim::LayerTiling tiling(layer, config_);
-    // One cycle per (window, synapse set); windows are processed one
-    // brick per cycle, bit-parallel.
-    return static_cast<double>(tiling.passes()) *
-           static_cast<double>(layer.windows()) *
-           static_cast<double>(tiling.numSynapseSets());
+    sim::requireKnownKnobs("dadn", knobs, {});
 }
 
 sim::LayerResult
-DadnModel::layerResult(const dnn::LayerSpec &layer) const
+DadnEngine::simulateLayer(const dnn::LayerSpec &layer,
+                          const sim::LayerWorkload &workload,
+                          const sim::AccelConfig &accel,
+                          const sim::SampleSpec &sample,
+                          const util::InnerExecutor &exec) const
 {
+    (void)workload;
+    (void)exec;
+    (void)sample; // DaDN cycle counts are exact; nothing to sample.
+    sim::LayerTiling tiling(layer, accel);
     sim::LayerResult lr;
     lr.layerName = layer.name;
-    lr.engineName = "DaDN";
-    lr.cycles = layerCycles(layer);
-    // Every term is processed, effectual or not; count the
-    // effectual ones as 16 per product upper bound is handled by
-    // the analytic module. Here: products * 16 terms processed.
+    lr.engineName = name();
+    // One cycle per (window, synapse set); windows are processed one
+    // brick per cycle, bit-parallel.
+    lr.cycles = static_cast<double>(tiling.passes()) *
+                static_cast<double>(layer.windows()) *
+                static_cast<double>(tiling.numSynapseSets());
     lr.effectualTerms = static_cast<double>(layer.products()) * 16.0;
     lr.sbReadSteps = lr.cycles;
     return lr;
 }
 
-sim::NetworkResult
-DadnModel::run(const dnn::Network &network) const
-{
-    sim::NetworkResult result;
-    result.networkName = network.name;
-    result.engineName = "DaDN";
-    for (const auto &layer : network.layers) {
-        if (!layer.priced())
-            continue; // Structural pools cost no NFU cycles.
-        result.layers.push_back(layerResult(layer));
-    }
-    return result;
-}
-
 int64_t
-DadnModel::nfuBrickDot(std::span<const uint16_t> neurons,
-                       std::span<const int16_t> synapses)
+nfuBrickDot(std::span<const uint16_t> neurons,
+            std::span<const int16_t> synapses)
 {
     PRA_CHECK(neurons.size() == synapses.size(),
-                         "nfuBrickDot: lane count mismatch");
+              "nfuBrickDot: lane count mismatch");
     // Lane multipliers.
     int64_t products[dnn::kBrickSize] = {};
     PRA_CHECK(neurons.size() <= dnn::kBrickSize,
-                         "nfuBrickDot: too many lanes");
+              "nfuBrickDot: too many lanes");
     for (size_t lane = 0; lane < neurons.size(); lane++) {
         products[lane] = static_cast<int64_t>(synapses[lane]) *
                          static_cast<int64_t>(neurons[lane]);
@@ -78,19 +62,18 @@ DadnModel::nfuBrickDot(std::span<const uint16_t> neurons,
 }
 
 int64_t
-DadnModel::computeWindow(const dnn::LayerSpec &layer,
-                         const dnn::NeuronTensor &input,
-                         const dnn::FilterTensor &filter,
-                         int window_x, int window_y) const
+computeWindow(const dnn::LayerSpec &layer, const sim::AccelConfig &accel,
+              const dnn::NeuronTensor &input,
+              const dnn::FilterTensor &filter, int window_x, int window_y)
 {
-    sim::LayerTiling tiling(layer, config_);
+    sim::LayerTiling tiling(layer, accel);
     sim::WindowCoord w{window_x, window_y};
     int64_t acc = 0;
     for (int64_t s = 0; s < tiling.numSynapseSets(); s++) {
         sim::SynapseSetCoord coord = tiling.setCoord(s);
         auto neurons = tiling.gatherBrick(input, w, coord);
         int16_t synapses[dnn::kBrickSize] = {};
-        int lanes = std::min(config_.neuronLanes,
+        int lanes = std::min(accel.neuronLanes,
                              layer.inputChannels - coord.brickI);
         for (int lane = 0; lane < lanes; lane++)
             synapses[lane] = filter.at(coord.fx, coord.fy,

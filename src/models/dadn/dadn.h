@@ -1,12 +1,13 @@
 /**
  * @file
- * DaDianNao (DaDN) baseline model (paper Section IV-B).
+ * DaDianNao (DaDN) baseline (paper Section IV-B), engine kind "dadn".
  *
  * DaDN is the bit-parallel reference design: each cycle a tile reads
  * one 16-neuron brick and 16 synapse bricks and computes 256 products.
  * Its execution time is value-independent: one cycle per
  * (window, synapse set) pair per filter pass, so
  *   cycles = passes * windows * bricksPerWindow.
+ * The engine takes no knobs and requests no neuron stream.
  *
  * The functional half models the NFU datapath (per-lane multipliers
  * feeding a 16-input adder tree per filter) and must match the golden
@@ -17,59 +18,54 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "dnn/layer_spec.h"
-#include "dnn/network.h"
 #include "dnn/tensor.h"
-#include "sim/accel_config.h"
-#include "sim/layer_result.h"
+#include "sim/engine.h"
+#include "sim/engine_registry.h"
 
 namespace pra {
 namespace models {
 
-/** Cycle-count and functional model of the DaDN accelerator. */
-class DadnModel
+/** The DaDN baseline: the closed-form cycle count above. */
+class DadnEngine : public sim::Engine
 {
   public:
-    explicit DadnModel(const sim::AccelConfig &config = {});
+    explicit DadnEngine(const sim::EngineKnobs &knobs);
+
+    std::string kind() const override { return "dadn"; }
+    std::string name() const override { return "DaDN"; }
 
     /**
-     * Cycles for one conv layer. DaDN performance does not depend on
-     * neuron values, only geometry.
+     * Cycles by the closed form; every term is processed, effectual
+     * or not (16 per product); one SB read per cycle.
      */
-    double layerCycles(const dnn::LayerSpec &layer) const;
-
-    /** Full per-layer result (cycles, terms, SB reads) for one layer. */
-    sim::LayerResult layerResult(const dnn::LayerSpec &layer) const;
-
-    /** Per-layer results for a whole network. */
-    sim::NetworkResult run(const dnn::Network &network) const;
-
-    /**
-     * Functional NFU step: multiply a neuron brick against one
-     * filter's synapse brick and reduce through the adder tree;
-     * returns the partial sum contribution.
-     */
-    static int64_t nfuBrickDot(std::span<const uint16_t> neurons,
-                               std::span<const int16_t> synapses);
-
-    /**
-     * Functional model of a full window: iterates the layer's synapse
-     * sets exactly as the hardware schedule does and accumulates
-     * nfuBrickDot() partial sums; equals the reference window dot.
-     */
-    int64_t computeWindow(const dnn::LayerSpec &layer,
-                          const dnn::NeuronTensor &input,
-                          const dnn::FilterTensor &filter,
-                          int window_x, int window_y) const;
-
-    const sim::AccelConfig &config() const { return config_; }
-
-  private:
-    sim::AccelConfig config_;
+    sim::LayerResult
+    simulateLayer(const dnn::LayerSpec &layer,
+                  const sim::LayerWorkload &workload,
+                  const sim::AccelConfig &accel,
+                  const sim::SampleSpec &sample,
+                  const util::InnerExecutor &exec) const override;
 };
+
+/**
+ * Functional NFU step: multiply a neuron brick against one filter's
+ * synapse brick and reduce through the adder tree; returns the
+ * partial sum contribution.
+ */
+int64_t nfuBrickDot(std::span<const uint16_t> neurons,
+                    std::span<const int16_t> synapses);
+
+/**
+ * Functional model of a full window on @p accel: iterates the layer's
+ * synapse sets exactly as the hardware schedule does and accumulates
+ * nfuBrickDot() partial sums; equals the reference window dot.
+ */
+int64_t computeWindow(const dnn::LayerSpec &layer,
+                      const sim::AccelConfig &accel,
+                      const dnn::NeuronTensor &input,
+                      const dnn::FilterTensor &filter, int window_x,
+                      int window_y);
 
 } // namespace models
 } // namespace pra
-

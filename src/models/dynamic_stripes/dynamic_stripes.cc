@@ -86,45 +86,95 @@ class MaskSource
     const sim::BrickPlanes *planes_;
 };
 
-/**
- * The static layer-wide configuration: exactly Stripes at the
- * profiled precision, or — leading-bit-only detection — at the top
- * of the synthesis window (see the header comment).
- */
-sim::LayerResult
-layerWideResult(const dnn::LayerSpec &layer,
-                const sim::AccelConfig &accel,
-                const DynamicStripesConfig &config)
-{
-    int precision = layer.profiledPrecision;
-    if (config.leadingBit)
-        precision = std::min(16, dnn::synthesisAnchor(layer) +
-                                     layer.profiledPrecision);
-    return StripesModel(accel).layerResult(layer, precision);
-}
-
 } // namespace
 
-sim::LayerResult
-simulateLayerDynamicStripes(const dnn::LayerSpec &layer,
-                            const sim::LayerWorkload &workload,
-                            const sim::AccelConfig &accel,
-                            const DynamicStripesConfig &config,
-                            const sim::SampleSpec &sample,
-                            const util::InnerExecutor &exec)
+DynamicStripesEngine::DynamicStripesEngine(const sim::EngineKnobs &knobs)
 {
-    if (config.layerWide)
-        return layerWideResult(layer, accel, config);
+    sim::requireKnownKnobs(
+        "dynamic_stripes", knobs,
+        {"granularity", "column-regs", "leading-bit", "diffy"});
+    std::string granularity =
+        sim::knobString(knobs, "granularity", "16");
+    if (granularity == "layer") {
+        layerWide_ = true;
+    } else {
+        // Divisibility against windowsPerPallet is a property of the
+        // machine, checked when a layer is priced; positivity is a
+        // property of the flag and fails here.
+        groupColumns_ =
+            static_cast<int>(sim::knobInt(knobs, "granularity", 16));
+        if (groupColumns_ < 1)
+            util::fatal("dynamic_stripes: granularity must be a "
+                        "positive column count or \"layer\"");
+    }
+    columnRegisters_ =
+        static_cast<int>(sim::knobInt(knobs, "column-regs", 0));
+    if (columnRegisters_ < 0)
+        util::fatal("dynamic_stripes: column-regs must be >= 0");
+    leadingBit_ = sim::knobBool(knobs, "leading-bit", false);
+    diffy_ = sim::knobBool(knobs, "diffy", false);
+    if (layerWide_ && diffy_)
+        util::fatal("dynamic_stripes: diffy needs runtime detection; "
+                    "it cannot combine with granularity=layer");
+    if (layerWide_ && columnRegisters_ > 0)
+        util::fatal("dynamic_stripes: column-regs buffer runtime "
+                    "groups; they cannot combine with "
+                    "granularity=layer");
+}
+
+std::string
+DynamicStripesEngine::name() const
+{
+    std::string n = layerWide_ ? "DS-layer"
+                               : "DS-g" + std::to_string(groupColumns_);
+    if (columnRegisters_ > 0)
+        n += "-r" + std::to_string(columnRegisters_);
+    if (leadingBit_)
+        n += "-lb";
+    if (diffy_)
+        n += "-diffy";
+    return n;
+}
+
+sim::InputStream
+DynamicStripesEngine::inputStream() const
+{
+    // The layer-wide configuration is static (profiled precisions);
+    // every runtime configuration reads the trimmed value stream its
+    // detectors would see.
+    return layerWide_ ? sim::InputStream::None
+                      : sim::InputStream::Fixed16Trimmed;
+}
+
+sim::LayerResult
+DynamicStripesEngine::simulateLayer(const dnn::LayerSpec &layer,
+                                    const sim::LayerWorkload &workload,
+                                    const sim::AccelConfig &accel,
+                                    const sim::SampleSpec &sample,
+                                    const util::InnerExecutor &exec) const
+{
+    if (layerWide_) {
+        // Exactly Stripes at the profiled precision, or — leading-bit
+        // only detection — at the top of the synthesis window (see
+        // the header comment).
+        int precision = layer.profiledPrecision;
+        if (leadingBit_)
+            precision = std::min(16, dnn::synthesisAnchor(layer) +
+                                         layer.profiledPrecision);
+        sim::LayerResult result =
+            stripesLayerResult(layer, accel, precision);
+        result.engineName = name();
+        return result;
+    }
 
     const int wpp = accel.windowsPerPallet;
-    const int gc = config.groupColumns;
-    if (gc < 1 || wpp % gc != 0)
+    const int gc = groupColumns_;
+    if (wpp % gc != 0)
         util::fatal("dynamic_stripes: granularity must be a positive "
                     "divisor of windowsPerPallet (" +
                     std::to_string(wpp) + "); got " +
                     std::to_string(gc));
-    const int regs = config.columnRegisters;
-    PRA_CHECK(regs >= 0, "dynamic_stripes: negative column registers");
+    const int regs = columnRegisters_;
 
     sim::LayerTiling tiling(layer, accel);
     sim::SamplePlan plan = sim::planSample(tiling.numPallets(), sample);
@@ -137,7 +187,7 @@ simulateLayerDynamicStripes(const dnn::LayerSpec &layer,
     // workload, so they come from a local workload over the diffed
     // stream (its planes build on first use).
     std::optional<sim::LayerWorkload> diffed;
-    if (config.diffy)
+    if (diffy_)
         diffed.emplace(diffyTransform(workload.tensor()));
     const sim::LayerWorkload &detected = diffed ? *diffed : workload;
     BrickCostContext ctx(tiling, detected, kMaxFirstStageBits);
@@ -189,7 +239,7 @@ simulateLayerDynamicStripes(const dnn::LayerSpec &layer,
                         m |= masks.mask(
                             col_coords[static_cast<size_t>(c)], sc);
                     const int p = fixedpoint::dynamicPrecision(
-                        m, config.leadingBit);
+                        m, leadingBit_);
                     group_prec[static_cast<size_t>(g)] = p;
                     // Every member column streams the group's
                     // precision over the brick's real lanes.
@@ -239,7 +289,7 @@ simulateLayerDynamicStripes(const dnn::LayerSpec &layer,
 
     sim::LayerResult result;
     result.layerName = layer.name;
-    result.engineName = "DynamicStripes";
+    result.engineName = name();
     result.sampleScale = plan.scale;
     double passes = static_cast<double>(tiling.passes());
     result.cycles = passes * plan.scale *

@@ -1,10 +1,10 @@
 /**
  * @file
- * Dynamic-Stripes (DS) cycle model: Stripes' bit-serial datapath with
- * the per-layer profiled precision replaced by *runtime* per-group
- * precision detection (DNNsim's DynamicStripes: PRECISION_GRANULARITY,
- * COLUMN_REGISTERS, LEADING_BIT, and the Diffy spatial-difference
- * front end).
+ * Dynamic-Stripes (DS), engine kind "dynamic_stripes": Stripes'
+ * bit-serial datapath with the per-layer profiled precision replaced
+ * by *runtime* per-group precision detection (DNNsim's
+ * DynamicStripes: PRECISION_GRANULARITY, COLUMN_REGISTERS,
+ * LEADING_BIT, and the Diffy spatial-difference front end).
  *
  * Execution follows the shared pass/pallet/synapse-set tiling
  * (sim/tiling.h). Per synapse set, the windows of a pallet are carved
@@ -36,55 +36,69 @@
  *    tests pin); with leadingBit on, the precision widens to the top
  *    of the synthesis window (profiled precision + anchor — the
  *    layer-wide worst case a leading-bit-only detector latches).
- *    Value-independent, so the engine adapter declares no input
- *    stream; diffy and column registers don't apply.
+ *    Value-independent, so the engine declares no input stream;
+ *    diffy and column registers don't apply.
  *
  * Effectual terms count the streamed bit-slices: per set and column,
  * (group precision) x (real channel lanes of the brick), times the
  * filter count — the DS analogue of Stripes' products() x precision.
+ *
+ * Knobs:
+ *   granularity=N|layer
+ *                columns per runtime precision-detection group
+ *                (default 16); must be a positive divisor of the
+ *                machine's windowsPerPallet. "layer" selects the
+ *                static layer-wide configuration.
+ *   column-regs=N
+ *                per-group run-ahead registers (default 0 = lockstep).
+ *   leading-bit=0|1
+ *                detect only the group's leading bit (default 0).
+ *   diffy=0|1    detect over the spatial-difference stream (default 0).
  */
 
 #pragma once
 
-#include "dnn/layer_spec.h"
-#include "sim/accel_config.h"
-#include "sim/layer_result.h"
-#include "sim/sampling.h"
-#include "sim/workload_cache.h"
-#include "util/thread_pool.h"
+#include "sim/engine.h"
+#include "sim/engine_registry.h"
 
 namespace pra {
 namespace models {
 
-/** Dynamic-Stripes variant knobs (see file comment). */
-struct DynamicStripesConfig
+/** Dynamic-Stripes behind the uniform Engine interface. */
+class DynamicStripesEngine : public sim::Engine
 {
-    /** Static layer-wide precision (the Stripes twin); the runtime
-     * knobs below don't apply (diffy/columnRegisters rejected). */
-    bool layerWide = false;
-    /** Columns per runtime precision group; must divide the
-     * machine's windowsPerPallet. */
-    int groupColumns = 16;
-    /** Per-group run-ahead registers (0 = lockstep pallet sync). */
-    int columnRegisters = 0;
-    /** Detect only the leading bit (trailing zeros still stream). */
-    bool leadingBit = false;
-    /** Detect over the spatial-difference stream (Diffy front end). */
-    bool diffy = false;
-};
+  public:
+    explicit DynamicStripesEngine(const sim::EngineKnobs &knobs);
 
-/**
- * Price one layer from a shared workload. Brick masks come from the
- * workload's orMask plane when the machine's lanes match kBrickSize,
- * else through the shared summarizeBrick reduction over its tensor.
- */
-sim::LayerResult
-simulateLayerDynamicStripes(const dnn::LayerSpec &layer,
-                            const sim::LayerWorkload &workload,
-                            const sim::AccelConfig &accel,
-                            const DynamicStripesConfig &config,
-                            const sim::SampleSpec &sample,
-                            const util::InnerExecutor &exec);
+    std::string kind() const override { return "dynamic_stripes"; }
+    std::string name() const override;
+    sim::InputStream inputStream() const override;
+
+    /**
+     * Brick masks come from the workload's orMask plane when the
+     * machine's lanes match kBrickSize, else through the shared
+     * summarizeBrick reduction over its tensor; pallets split across
+     * @p exec.
+     */
+    sim::LayerResult
+    simulateLayer(const dnn::LayerSpec &layer,
+                  const sim::LayerWorkload &workload,
+                  const sim::AccelConfig &accel,
+                  const sim::SampleSpec &sample,
+                  const util::InnerExecutor &exec) const override;
+
+  private:
+    /** Static layer-wide precision (the Stripes twin). */
+    bool layerWide_ = false;
+    /** Columns per runtime precision group. */
+    int groupColumns_ = 16;
+    /** Per-group run-ahead registers (0 = lockstep pallet sync). */
+    int columnRegisters_ = 0;
+    /** Detect only the leading bit (trailing zeros still stream). */
+    bool leadingBit_ = false;
+    /** Detect over the spatial-difference stream (Diffy front end). */
+    bool diffy_ = false;
+};
 
 } // namespace models
 } // namespace pra

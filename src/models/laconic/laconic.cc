@@ -68,12 +68,17 @@ class LanePopSource
 
 } // namespace
 
+LaconicEngine::LaconicEngine(const sim::EngineKnobs &knobs)
+{
+    sim::requireKnownKnobs("laconic", knobs, {});
+}
+
 sim::LayerResult
-simulateLayerLaconic(const dnn::LayerSpec &layer,
-                     const sim::LayerWorkload &workload,
-                     const sim::AccelConfig &accel,
-                     const sim::SampleSpec &sample,
-                     const util::InnerExecutor &exec)
+LaconicEngine::simulateLayer(const dnn::LayerSpec &layer,
+                             const sim::LayerWorkload &workload,
+                             const sim::AccelConfig &accel,
+                             const sim::SampleSpec &sample,
+                             const util::InnerExecutor &exec) const
 {
     sim::LayerTiling tiling(layer, accel);
     sim::SamplePlan plan = sim::planSample(tiling.numPallets(), sample);
@@ -151,7 +156,7 @@ simulateLayerLaconic(const dnn::LayerSpec &layer,
 
     sim::LayerResult result;
     result.layerName = layer.name;
-    result.engineName = "Laconic";
+    result.engineName = name();
     result.sampleScale = plan.scale;
     double passes = static_cast<double>(tiling.passes());
     result.cycles = passes * plan.scale *

@@ -1,9 +1,9 @@
 /**
  * @file
- * Laconic cycle model: term-serial computation over the essential
- * bits of *both* operands (Sharify et al., "Laconic Deep Learning
- * Computing" — the both-operand endpoint of the oneffset family this
- * repo grows from Pragmatic).
+ * Laconic (engine kind "laconic"): term-serial computation over the
+ * essential bits of *both* operands (Sharify et al., "Laconic Deep
+ * Learning Computing" — the both-operand endpoint of the oneffset
+ * family this repo grows from Pragmatic).
  *
  * A Laconic PE decomposes a product into oneffset pairs: a neuron
  * with A set bits times a synapse with W set bits takes A x W
@@ -29,31 +29,45 @@
  * every pass). Weight popcounts come from the shared weight-side
  * planes (sim/operand_planes.h): the deterministic synthetic codes,
  * or the requantized reference weights under --activations=propagated.
+ *
+ * No knobs: the datapath is fully determined by the machine geometry
+ * and the two operand streams — the trimmed neuron values and the
+ * per-layer profiled-precision weight codes.
  */
 
 #pragma once
 
-#include "dnn/layer_spec.h"
-#include "sim/accel_config.h"
-#include "sim/layer_result.h"
-#include "sim/sampling.h"
-#include "sim/workload_cache.h"
-#include "util/thread_pool.h"
+#include "sim/engine.h"
+#include "sim/engine_registry.h"
 
 namespace pra {
 namespace models {
 
-/**
- * Price one layer from a shared workload. Lane popcounts come from
- * the workload's per-lane plane when the machine's lanes match
- * kBrickSize, else from a zero-copy brick view of its tensor.
- */
-sim::LayerResult
-simulateLayerLaconic(const dnn::LayerSpec &layer,
-                     const sim::LayerWorkload &workload,
-                     const sim::AccelConfig &accel,
-                     const sim::SampleSpec &sample,
-                     const util::InnerExecutor &exec);
+/** Laconic behind the uniform Engine interface. */
+class LaconicEngine : public sim::Engine
+{
+  public:
+    explicit LaconicEngine(const sim::EngineKnobs &knobs);
+
+    std::string kind() const override { return "laconic"; }
+    std::string name() const override { return "Laconic"; }
+    sim::InputStream inputStream() const override
+    {
+        return sim::InputStream::Fixed16Trimmed;
+    }
+
+    /**
+     * Lane popcounts come from the workload's per-lane plane when the
+     * machine's lanes match kBrickSize, else from a zero-copy brick
+     * view of its tensor; pallets split across @p exec.
+     */
+    sim::LayerResult
+    simulateLayer(const dnn::LayerSpec &layer,
+                  const sim::LayerWorkload &workload,
+                  const sim::AccelConfig &accel,
+                  const sim::SampleSpec &sample,
+                  const util::InnerExecutor &exec) const override;
+};
 
 } // namespace models
 } // namespace pra

@@ -1,4 +1,30 @@
-#include "models/pragmatic/column_sync.h"
+/**
+ * @file
+ * Per-column neuron lane synchronization with synapse set registers
+ * (paper Section V-E, Figure 8): simulateLayerColumnSync, declared in
+ * pragmatic_engine.h.
+ *
+ * Each PIP column advances through the synapse-set stream
+ * independently, bounded by three structural constraints:
+ *
+ *  1. one SB read per cycle (single port, one shared bus);
+ *  2. a pool of x synapse set registers (SSRs): a set read from SB
+ *     stays in an SSR until *all* columns have copied it into their
+ *     PIP synapse registers, so the lead column can run at most x
+ *     sets ahead of the slowest column (x == 0 models the ideal,
+ *     infinite-register design, "PRA-Lb-idealR");
+ *  3. the dispatcher double-buffers pallets: a column may only enter
+ *     pallet p once its neuron bricks arrived from NM, and the fetch
+ *     of pallet p cannot complete before every column drained pallet
+ *     p - 2 (Section V-E: "a two pallet buffer in the dispatcher is
+ *     all that is needed").
+ *
+ * The implementation is an event-ordered sweep over global set
+ * indices: all times needed for set g are known once sets < g are
+ * placed, so no event queue is required.
+ */
+
+#include "models/pragmatic/pragmatic_engine.h"
 
 #include <algorithm>
 #include <vector>
@@ -60,7 +86,7 @@ sim::LayerResult
 simulateLayerColumnSync(const dnn::LayerSpec &layer,
                         const sim::LayerWorkload &workload,
                         const sim::AccelConfig &accel,
-                        const ColumnSyncConfig &config,
+                        const PragmaticConfig &config,
                         const sim::SampleSpec &sample)
 {
     sim::LayerTiling tiling(layer, accel);
@@ -83,7 +109,7 @@ simulateLayerColumnSync(const dnn::LayerSpec &layer,
     std::vector<sim::WindowCoord> col_coords(
         static_cast<size_t>(columns));
 
-    SsrPool ssrs(config.ideal() ? 0 : config.ssrCount);
+    SsrPool ssrs(config.ssrCount); // <= 0: the infinite ideal.
     int64_t last_read_done = 0;
 
     // Dispatcher pallet double-buffering state.
@@ -166,8 +192,6 @@ simulateLayerColumnSync(const dnn::LayerSpec &layer,
 
     sim::LayerResult result;
     result.layerName = layer.name;
-    result.engineName = config.ideal() ? "PRA-perCol-ideal"
-                                       : "PRA-perCol";
     result.sampleScale = plan.scale;
     double passes = static_cast<double>(tiling.passes());
     result.cycles = passes * plan.scale *

@@ -1,7 +1,5 @@
 #include "models/pragmatic/pragmatic_engine.h"
 
-#include "models/pragmatic/column_sync.h"
-#include "models/pragmatic/tile.h"
 #include "util/logging.h"
 
 namespace pra {
@@ -97,18 +95,11 @@ PragmaticEngine::simulateLayer(const dnn::LayerSpec &layer,
 {
     sim::LayerResult result =
         config_.sync == SyncScheme::Pallet
-            ? simulateLayerPalletSync(
-                  layer, workload, accel,
-                  {.firstStageBits = config_.firstStageBits,
-                   .modelNmStalls = config_.modelNmStalls},
-                  sample, exec)
-            : simulateLayerColumnSync(
-                  layer, workload, accel,
-                  {.firstStageBits = config_.firstStageBits,
-                   .ssrCount = config_.ssrCount,
-                   .modelNmStalls = config_.modelNmStalls},
-                  sample);
-    result.engineName = config_.label();
+            ? simulateLayerPalletSync(layer, workload, accel, config_,
+                                      sample, exec)
+            : simulateLayerColumnSync(layer, workload, accel, config_,
+                                      sample);
+    result.engineName = name();
     return result;
 }
 

@@ -1,4 +1,15 @@
-#include "models/pragmatic/tile.h"
+/**
+ * @file
+ * Pragmatic tile with pallet-level neuron lane synchronization
+ * (paper Sections V-A3, V-A4, V-B): simulateLayerPalletSync, declared
+ * in pragmatic_engine.h. NM fetch of the next step overlaps with
+ * processing of the current one; the residue shows up as stall
+ * cycles (Section V-A4). Every per-block accumulator is an exact
+ * integer, so block partials combined in block order equal the
+ * serial path bit for bit.
+ */
+
+#include "models/pragmatic/pragmatic_engine.h"
 
 #include <algorithm>
 #include <vector>
@@ -32,7 +43,7 @@ sim::LayerResult
 simulateLayerPalletSync(const dnn::LayerSpec &layer,
                         const sim::LayerWorkload &workload,
                         const sim::AccelConfig &accel,
-                        const PragmaticTileConfig &tile,
+                        const PragmaticConfig &config,
                         const sim::SampleSpec &sample,
                         const util::InnerExecutor &exec)
 {
@@ -42,7 +53,7 @@ simulateLayerPalletSync(const dnn::LayerSpec &layer,
                          "pallet sync: layer has no pallets");
 
     const int64_t num_sets = tiling.numSynapseSets();
-    BrickCostContext ctx(tiling, workload, tile.firstStageBits);
+    BrickCostContext ctx(tiling, workload, config.firstStageBits);
     const BrickCostModel &costs = ctx.costs();
     const std::vector<sim::SynapseSetCoord> &set_coords =
         ctx.setCoords();
@@ -87,7 +98,7 @@ simulateLayerPalletSync(const dnn::LayerSpec &layer,
                 // Even an all-zero pallet step holds the pipeline for
                 // the SB read cycle.
                 int64_t set_cycles = std::max(1, max_cycles);
-                if (tile.modelNmStalls) {
+                if (config.modelNmStalls) {
                     int64_t fetch =
                         sim::nmFetchCycles(tiling, pallet, s);
                     acc.stallCycles += nm.step(prev_process, fetch);
@@ -108,7 +119,6 @@ simulateLayerPalletSync(const dnn::LayerSpec &layer,
 
     sim::LayerResult result;
     result.layerName = layer.name;
-    result.engineName = "PRA-pallet";
     result.sampleScale = plan.scale;
     double passes = static_cast<double>(tiling.passes());
     result.cycles = passes * plan.scale *

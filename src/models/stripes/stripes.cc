@@ -1,5 +1,8 @@
 #include "models/stripes/stripes.h"
 
+#include <algorithm>
+
+#include "fixedpoint/fixed_point.h"
 #include "sim/tiling.h"
 #include "util/check.h"
 #include "util/logging.h"
@@ -7,83 +10,97 @@
 namespace pra {
 namespace models {
 
-StripesModel::StripesModel(const sim::AccelConfig &config)
-    : config_(config)
+StripesEngine::StripesEngine(const sim::EngineKnobs &knobs)
 {
-    PRA_CHECK(config_.valid(), "StripesModel: invalid config");
+    sim::requireKnownKnobs("stripes", knobs, {"precision", "repr"});
+    precisionOverride_ =
+        static_cast<int>(sim::knobInt(knobs, "precision", 0));
+    if (precisionOverride_ < 0 || precisionOverride_ > 16)
+        util::fatal("stripes: precision must be in 0..16");
+    std::string repr = sim::knobString(knobs, "repr", "fixed16");
+    if (repr == "quant8")
+        quant8_ = true;
+    else if (repr != "fixed16")
+        util::fatal("stripes: repr must be fixed16 or quant8");
+    if (quant8_ && precisionOverride_ != 0)
+        util::fatal("stripes: repr=quant8 derives per-layer "
+                    "precisions from the code stream; a fixed "
+                    "precision override contradicts it");
 }
 
-double
-StripesModel::layerCycles(const dnn::LayerSpec &layer,
-                          int precision) const
+std::string
+StripesEngine::name() const
 {
-    PRA_CHECK(precision >= 1 && precision <= 16,
-                         "StripesModel: precision out of range");
-    sim::LayerTiling tiling(layer, config_);
-    // Each synapse set costs `precision` serial cycles for the whole
-    // pallet of 16 windows.
-    return static_cast<double>(tiling.passes()) *
-           static_cast<double>(tiling.numPallets()) *
-           static_cast<double>(tiling.numSynapseSets()) *
-           static_cast<double>(precision);
+    if (quant8_)
+        return "Stripes-q8";
+    if (precisionOverride_ == 0)
+        return "Stripes";
+    return "Stripes-p" + std::to_string(precisionOverride_);
 }
 
-sim::NetworkResult
-StripesModel::run(const dnn::Network &network) const
+sim::InputStream
+StripesEngine::inputStream() const
 {
-    std::vector<int> precisions;
-    precisions.reserve(network.layers.size());
-    for (const auto &layer : network.layers)
-        precisions.push_back(layer.profiledPrecision);
-    return run(network, precisions);
-}
-
-sim::NetworkResult
-StripesModel::run(const dnn::Network &network,
-                  std::span<const int> precisions) const
-{
-    PRA_CHECK(precisions.size() == network.layers.size(),
-                         "StripesModel: precision list mismatch");
-    sim::NetworkResult result;
-    result.networkName = network.name;
-    result.engineName = "Stripes";
-    for (size_t i = 0; i < network.layers.size(); i++) {
-        // Structural pool layers are never priced; their slot in the
-        // precision list is ignored.
-        if (!network.layers[i].priced())
-            continue;
-        result.layers.push_back(
-            layerResult(network.layers[i], precisions[i]));
-    }
-    return result;
+    // Only the quantized variant is value-dependent: it reads the
+    // code stream to find the precision each layer actually needs.
+    return quant8_ ? sim::InputStream::Quant8 : sim::InputStream::None;
 }
 
 sim::LayerResult
-StripesModel::layerResult(const dnn::LayerSpec &layer,
-                          int precision) const
+StripesEngine::simulateLayer(const dnn::LayerSpec &layer,
+                             const sim::LayerWorkload &workload,
+                             const sim::AccelConfig &accel,
+                             const sim::SampleSpec &sample,
+                             const util::InnerExecutor &exec) const
 {
+    (void)exec;
+    (void)sample; // Stripes cycle counts are exact; nothing to sample.
+    int precision;
+    if (quant8_) {
+        // The bits needed by the layer's largest activation code —
+        // the quantized analogue of profiled precision (Figure 12).
+        uint16_t max_code = 0;
+        for (uint16_t code : workload.tensor().flat())
+            max_code = std::max(max_code, code);
+        precision = std::max(1, fixedpoint::significantBits(max_code));
+    } else {
+        precision = precisionOverride_ == 0 ? layer.profiledPrecision
+                                            : precisionOverride_;
+    }
+    sim::LayerResult lr = stripesLayerResult(layer, accel, precision);
+    lr.engineName = name();
+    return lr;
+}
+
+sim::LayerResult
+stripesLayerResult(const dnn::LayerSpec &layer,
+                   const sim::AccelConfig &accel, int precision)
+{
+    PRA_CHECK(precision >= 1 && precision <= 16,
+              "stripes: precision out of range");
+    sim::LayerTiling tiling(layer, accel);
+    // Each synapse set costs `precision` serial cycles for the whole
+    // pallet of 16 windows, after one SB read.
+    double steps = static_cast<double>(tiling.passes()) *
+                   static_cast<double>(tiling.numPallets()) *
+                   static_cast<double>(tiling.numSynapseSets());
     sim::LayerResult lr;
     lr.layerName = layer.name;
-    lr.engineName = "Stripes";
-    lr.cycles = layerCycles(layer, precision);
+    lr.cycles = steps * static_cast<double>(precision);
     lr.effectualTerms = static_cast<double>(layer.products()) *
                         precision;
-    // One SB read per pallet step, as in every pallet-synced model.
-    sim::LayerTiling tiling(layer, config_);
-    lr.sbReadSteps = static_cast<double>(tiling.passes()) *
-                     static_cast<double>(tiling.numPallets()) *
-                     static_cast<double>(tiling.numSynapseSets());
+    lr.sbReadSteps = steps;
     return lr;
 }
 
 int64_t
-StripesModel::serialMultiply(int16_t synapse, uint16_t neuron,
-                             int precision, int window_lsb)
+serialMultiply(int16_t synapse, uint16_t neuron, int precision,
+               int window_lsb)
 {
     PRA_CHECK(precision >= 1 && precision <= 16,
-                         "serialMultiply: precision out of range");
+              "serialMultiply: precision out of range");
     PRA_CHECK(window_lsb >= 0 && window_lsb < 16,
-                         "serialMultiply: bad window lsb");
+              "serialMultiply: bad window lsb");
     int64_t acc = 0;
     // One neuron bit per cycle, LSB of the window first; the AND
     // gates either pass the synapse into the adder or inject zero,

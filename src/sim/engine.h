@@ -2,14 +2,16 @@
  * @file
  * The unified simulation-engine interface.
  *
- * Every cycle/term model in src/models adapts to this interface so
- * that sweeps, benches and tools can treat "a thing that simulates a
- * layer" uniformly: DaDN and Stripes (value-independent baselines),
- * the Pragmatic pallet- and column-sync engines, and the analytic
- * term-count model. Adapters wrap the existing models without
- * changing their math; an engine is identified by its registry
- * *kind* (e.g. "pragmatic") and a variant *name* derived from its
- * knobs (e.g. "PRA-2b-1R").
+ * Every cycle/term model in src/models is one subclass of this
+ * interface that does its own pricing, so sweeps, benches and tools
+ * treat "a thing that simulates a layer" uniformly: DaDN and Stripes
+ * (value-independent baselines), Dynamic-Stripes, the Pragmatic
+ * pallet- and column-sync engines, Laconic and the analytic
+ * term-count model. An engine is identified by its registry *kind*
+ * (e.g. "pragmatic") and a variant *name* derived from its knobs
+ * (e.g. "PRA-2b-1R"); name() is what every result's engineName
+ * carries. runNetwork() (through sim::runSweep for a grid) is the
+ * one way to price a network.
  *
  * Engines consume immutable LayerWorkload views (stream tensor plus
  * lazily built per-brick planes) handed out by a WorkloadSource, so a

@@ -66,7 +66,7 @@ stripesWindow(const dnn::LayerSpec &layer,
         for (int lane = 0; lane < lanes; lane++) {
             int16_t w =
                 filter.at(coord.fx, coord.fy, coord.brickI + lane);
-            acc += StripesModel::serialMultiply(w, neurons[lane], 16);
+            acc += serialMultiply(w, neurons[lane], 16);
         }
     }
     return acc;
@@ -81,7 +81,7 @@ TEST_P(FunctionalEquivalence, AllDatapathsAgreeOnTinyNetwork)
     int l = GetParam();
     auto net = dnn::makeTinyNetwork();
     dnn::ActivationSynthesizer synth(net);
-    DadnModel dadn;
+    sim::AccelConfig accel;
     for (size_t li = 0; li < net.layers.size(); li++) {
         const auto &layer = net.layers[li];
         auto input = synth.synthesizeFixed16(static_cast<int>(li));
@@ -97,9 +97,8 @@ TEST_P(FunctionalEquivalence, AllDatapathsAgreeOnTinyNetwork)
                               want)
                         << layer.name << " PIP L=" << l;
                     if (l == 2) { // Value-independent paths run once.
-                        EXPECT_EQ(dadn.computeWindow(layer, input,
-                                                     filters[f], wx,
-                                                     wy),
+                        EXPECT_EQ(computeWindow(layer, accel, input,
+                                                filters[f], wx, wy),
                                   want);
                         EXPECT_EQ(stripesWindow(layer, input,
                                                 filters[f], wx, wy),
@@ -143,11 +142,9 @@ TEST(EndToEnd, QuantizedCodesFlowThroughPips)
 
 TEST(EndToEnd, CycleCountOrderingAcrossEngines)
 {
-    // DaDN >= Stripes >= PRA-pallet >= PRA-perCol >= ideal, on the
+    // DaDN >= Stripes >= PRA-2b >= PRA-2b-1R >= PRA-2b-idealR, on the
     // same synthetic workload.
     auto net = dnn::makeTinyNetwork();
-    DadnModel dadn;
-    StripesModel stripes;
     dnn::ActivationSynthesizer synth(net);
     auto cycles = [&](const std::string &kind,
                       const sim::EngineKnobs &knobs) {
@@ -159,8 +156,8 @@ TEST(EndToEnd, CycleCountOrderingAcrossEngines)
             .totalCycles();
     };
 
-    double base = dadn.run(net).totalCycles();
-    double str = stripes.run(net).totalCycles();
+    double base = cycles("dadn", {});
+    double str = cycles("stripes", {});
     double pra = cycles("pragmatic", {{"nmstalls", "0"}});
     double col =
         cycles("pragmatic-col", {{"nmstalls", "0"}, {"ssr", "1"}});

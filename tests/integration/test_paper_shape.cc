@@ -11,9 +11,7 @@
 #include "dnn/model_zoo.h"
 #include "energy/area_power.h"
 #include "dnn/activation_synth.h"
-#include "models/dadn/dadn.h"
 #include "models/engines.h"
-#include "models/stripes/stripes.h"
 #include "sim/layer_result.h"
 
 namespace pra {
@@ -29,9 +27,6 @@ class PaperShape : public ::testing::Test
     {
         nets_ = new std::vector<dnn::Network>(
             {dnn::makeAlexNet(), dnn::makeVggM(), dnn::makeVgg19()});
-        DadnModel dadn;
-        StripesModel stripes;
-
         for (const auto &net : *nets_) {
             dnn::ActivationSynthesizer synth(net);
             auto cycles = [&](const std::string &kind,
@@ -42,8 +37,8 @@ class PaperShape : public ::testing::Test
                                  sim::SampleSpec{48})
                     .totalCycles();
             };
-            baseline_.push_back(dadn.run(net).totalCycles());
-            str_.push_back(stripes.run(net).totalCycles());
+            baseline_.push_back(cycles("dadn", {}));
+            str_.push_back(cycles("stripes", {}));
             pra2b_.push_back(cycles("pragmatic", {}));
             praRaw_.push_back(cycles("pragmatic", {{"trim", "0"}}));
             praCol_.push_back(cycles("pragmatic-col", {{"ssr", "1"}}));
@@ -168,16 +163,19 @@ TEST(PaperShapeQuant, QuantizedBenefitsPersist)
     // Paper Section VI-F: benefits persist at 8 bits, nearly 3.5x for
     // PRA-2b-1R.
     auto net = dnn::makeAlexNet();
-    DadnModel dadn;
     dnn::ActivationSynthesizer synth(net);
-    double base = dadn.run(net).totalCycles();
+    auto cycles = [&](const std::string &kind,
+                      const sim::EngineKnobs &knobs) {
+        return builtinEngines()
+            .create(kind, knobs)
+            ->runNetwork(net, synth, sim::AccelConfig{},
+                         sim::SampleSpec{32})
+            .totalCycles();
+    };
+    double base = cycles("dadn", {});
     auto speedup = [&](const std::string &kind,
                        const sim::EngineKnobs &knobs) {
-        return base / builtinEngines()
-                          .create(kind, knobs)
-                          ->runNetwork(net, synth, sim::AccelConfig{},
-                                       sim::SampleSpec{32})
-                          .totalCycles();
+        return base / cycles(kind, knobs);
     };
 
     double pallet = speedup("pragmatic", {{"repr", "quant8"}});

@@ -7,11 +7,10 @@
 
 #include "dnn/activation_synth.h"
 #include "dnn/model_zoo.h"
-#include "models/dadn/dadn.h"
-#include "models/pragmatic/column_sync.h"
-#include "models/pragmatic/tile.h"
+#include "models/pragmatic/pragmatic_engine.h"
 #include "sim/tiling.h"
 #include "sim/workload_cache.h"
+#include "support/engines.h"
 #include "util/random.h"
 
 namespace pra {
@@ -49,10 +48,11 @@ randomInput(const dnn::LayerSpec &layer, uint64_t seed,
     return t;
 }
 
-ColumnSyncConfig
-config(int ssrs, bool nm = false)
+PragmaticConfig
+columnConfig(int ssrs, bool nm = false)
 {
-    ColumnSyncConfig c;
+    PragmaticConfig c;
+    c.sync = SyncScheme::PerColumn;
     c.firstStageBits = 2;
     c.ssrCount = ssrs;
     c.modelNmStalls = nm;
@@ -70,12 +70,12 @@ TEST(ColumnSync, UniformInputMatchesPalletSync)
         v = 0b101;
     sim::LayerWorkload input(values);
     sim::AccelConfig accel;
-    PragmaticTileConfig tile;
-    tile.modelNmStalls = false;
-    auto pallet = simulateLayerPalletSync(layer, input, accel, tile,
+    PragmaticConfig pallet_config;
+    pallet_config.modelNmStalls = false;
+    auto pallet = simulateLayerPalletSync(layer, input, accel, pallet_config,
                                           sim::SampleSpec{0});
     auto column = simulateLayerColumnSync(layer, input, accel,
-                                          config(1), sim::SampleSpec{0});
+                                          columnConfig(1), sim::SampleSpec{0});
     EXPECT_NEAR(column.cycles, pallet.cycles, pallet.cycles * 0.02);
 }
 
@@ -83,14 +83,15 @@ TEST(ColumnSync, NeverSlowerThanPalletSync)
 {
     auto layer = evenLayer();
     sim::AccelConfig accel;
-    PragmaticTileConfig tile;
-    tile.modelNmStalls = false;
+    PragmaticConfig pallet_config;
+    pallet_config.modelNmStalls = false;
     for (uint64_t seed : {1ull, 2ull, 3ull}) {
         sim::LayerWorkload input(randomInput(layer, seed));
         auto pallet = simulateLayerPalletSync(layer, input, accel,
-                                              tile, sim::SampleSpec{0});
+                                              pallet_config,
+                                              sim::SampleSpec{0});
         auto column = simulateLayerColumnSync(layer, input, accel,
-                                              config(1),
+                                              columnConfig(1),
                                               sim::SampleSpec{0});
         // A small slack term covers pipeline fill at the stream head.
         EXPECT_LE(column.cycles, pallet.cycles * 1.02) << seed;
@@ -105,14 +106,14 @@ TEST(ColumnSync, MonotoneInSsrCount)
     double prev = 1e18;
     for (int ssrs : {1, 2, 4, 8, 16}) {
         auto result = simulateLayerColumnSync(layer, input, accel,
-                                              config(ssrs),
+                                              columnConfig(ssrs),
                                               sim::SampleSpec{0});
         EXPECT_LE(result.cycles, prev * 1.0001) << ssrs;
         prev = result.cycles;
     }
     // Ideal (infinite SSRs) is the floor.
     auto ideal = simulateLayerColumnSync(layer, input, accel,
-                                         config(0), sim::SampleSpec{0});
+                                         columnConfig(0), sim::SampleSpec{0});
     EXPECT_LE(ideal.cycles, prev * 1.0001);
 }
 
@@ -122,9 +123,9 @@ TEST(ColumnSync, SixteenSsrsNearIdeal)
     auto layer = evenLayer();
     sim::LayerWorkload input(randomInput(layer, 11));
     sim::AccelConfig accel;
-    auto r16 = simulateLayerColumnSync(layer, input, accel, config(16),
+    auto r16 = simulateLayerColumnSync(layer, input, accel, columnConfig(16),
                                        sim::SampleSpec{0});
-    auto ideal = simulateLayerColumnSync(layer, input, accel, config(0),
+    auto ideal = simulateLayerColumnSync(layer, input, accel, columnConfig(0),
                                          sim::SampleSpec{0});
     EXPECT_NEAR(r16.cycles / ideal.cycles, 1.0, 0.05);
 }
@@ -139,12 +140,11 @@ TEST(ColumnSync, WorstCaseStillMatchesDaDn)
     sim::LayerWorkload input(values);
     sim::AccelConfig accel;
     auto result = simulateLayerColumnSync(layer, input, accel,
-                                          config(1), sim::SampleSpec{0});
-    DadnModel dadn(accel);
+                                          columnConfig(1), sim::SampleSpec{0});
     // Columns all take 16 cycles per set: identical to DaDN plus the
     // one-cycle SB pipeline fill.
-    EXPECT_NEAR(result.cycles, dadn.layerCycles(layer),
-                dadn.layerCycles(layer) * 0.01);
+    EXPECT_NEAR(result.cycles, dadnCycles(layer, accel),
+                dadnCycles(layer, accel) * 0.01);
 }
 
 TEST(ColumnSync, IdealBoundedByBusiestColumn)
@@ -152,7 +152,7 @@ TEST(ColumnSync, IdealBoundedByBusiestColumn)
     auto layer = evenLayer();
     sim::LayerWorkload input(randomInput(layer, 13));
     sim::AccelConfig accel;
-    auto ideal = simulateLayerColumnSync(layer, input, accel, config(0),
+    auto ideal = simulateLayerColumnSync(layer, input, accel, columnConfig(0),
                                          sim::SampleSpec{0});
     // The busiest single column is a hard lower bound; with B sets
     // per pallet the total can't beat pallets * sets (1 cycle min).
@@ -160,19 +160,6 @@ TEST(ColumnSync, IdealBoundedByBusiestColumn)
     EXPECT_GE(ideal.cycles,
               static_cast<double>(tiling.numPallets() *
                                   tiling.numSynapseSets()));
-}
-
-TEST(ColumnSync, EngineNames)
-{
-    auto layer = evenLayer();
-    sim::LayerWorkload input(randomInput(layer, 17));
-    sim::AccelConfig accel;
-    auto r1 = simulateLayerColumnSync(layer, input, accel, config(1),
-                                      sim::SampleSpec{16});
-    EXPECT_EQ(r1.engineName, "PRA-perCol");
-    auto ideal = simulateLayerColumnSync(layer, input, accel,
-                                         config(0), sim::SampleSpec{16});
-    EXPECT_EQ(ideal.engineName, "PRA-perCol-ideal");
 }
 
 TEST(ColumnSync, NmModelOnlyAddsCycles)
@@ -183,10 +170,10 @@ TEST(ColumnSync, NmModelOnlyAddsCycles)
     const auto &layer = net.layers[0];
     sim::AccelConfig accel;
     auto with = simulateLayerColumnSync(layer, input, accel,
-                                        config(1, true),
+                                        columnConfig(1, true),
                                         sim::SampleSpec{32});
     auto without = simulateLayerColumnSync(layer, input, accel,
-                                           config(1, false),
+                                           columnConfig(1, false),
                                            sim::SampleSpec{32});
     EXPECT_GE(with.cycles, without.cycles);
 }
@@ -202,10 +189,10 @@ TEST_P(SsrSweep, GainOverOneSsrIsBounded)
     auto layer = evenLayer();
     sim::LayerWorkload input(randomInput(layer, 23, 0.6, 1u << 12));
     sim::AccelConfig accel;
-    auto base = simulateLayerColumnSync(layer, input, accel, config(1),
+    auto base = simulateLayerColumnSync(layer, input, accel, columnConfig(1),
                                         sim::SampleSpec{0});
     auto more = simulateLayerColumnSync(layer, input, accel,
-                                        config(ssrs),
+                                        columnConfig(ssrs),
                                         sim::SampleSpec{0});
     double gain = base.cycles / more.cycles;
     EXPECT_GE(gain, 0.999);

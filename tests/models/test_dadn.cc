@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the DaDianNao baseline model.
+ * Tests for the DaDianNao baseline engine and its NFU datapath.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include "dnn/reference.h"
 #include "models/dadn/dadn.h"
 #include "sim/tiling.h"
+#include "support/engines.h"
 
 namespace pra {
 namespace models {
@@ -17,33 +18,34 @@ namespace {
 
 TEST(Dadn, LayerCyclesFormula)
 {
-    DadnModel dadn;
     auto net = dnn::makeAlexNet();
     const auto &conv2 = net.layers[1];
     // cycles = passes * windows * bricksPerWindow.
     double expected = 1.0 * conv2.windows() *
                       static_cast<double>(conv2.bricksPerWindow());
-    EXPECT_DOUBLE_EQ(dadn.layerCycles(conv2), expected);
+    EXPECT_DOUBLE_EQ(dadnCycles(conv2), expected);
 }
 
 TEST(Dadn, MultiPassLayers)
 {
-    DadnModel dadn;
     auto net = dnn::makeAlexNet();
     const auto &conv3 = net.layers[2]; // 384 filters -> 2 passes.
     double one_pass = static_cast<double>(conv3.windows()) *
                       static_cast<double>(conv3.bricksPerWindow());
-    EXPECT_DOUBLE_EQ(dadn.layerCycles(conv3), 2.0 * one_pass);
+    EXPECT_DOUBLE_EQ(dadnCycles(conv3), 2.0 * one_pass);
 }
 
 TEST(Dadn, ValueIndependence)
 {
-    // DaDN's cycles depend only on geometry; run() never touches
-    // neuron values.
-    DadnModel dadn;
+    // DaDN's cycles depend only on geometry: it requests no stream,
+    // and two seeds price the same.
+    auto dadn = builtinEngines().create("dadn");
+    EXPECT_EQ(dadn->inputStream(), sim::InputStream::None);
     auto net = dnn::makeTinyNetwork();
-    auto r1 = dadn.run(net);
-    auto r2 = dadn.run(net);
+    auto r1 = dadn->runNetwork(net, dnn::ActivationSynthesizer(net, 1),
+                               sim::AccelConfig{}, sim::SampleSpec{0});
+    auto r2 = dadn->runNetwork(net, dnn::ActivationSynthesizer(net, 2),
+                               sim::AccelConfig{}, sim::SampleSpec{0});
     ASSERT_EQ(r1.layers.size(), net.layers.size());
     EXPECT_DOUBLE_EQ(r1.totalCycles(), r2.totalCycles());
     EXPECT_GT(r1.totalCycles(), 0.0);
@@ -58,7 +60,7 @@ TEST(Dadn, NfuBrickDotMatchesPlainDot)
     int64_t expected = 0;
     for (int i = 0; i < 16; i++)
         expected += static_cast<int64_t>(synapses[i]) * neurons[i];
-    EXPECT_EQ(DadnModel::nfuBrickDot(neurons, synapses), expected);
+    EXPECT_EQ(nfuBrickDot(neurons, synapses), expected);
 }
 
 TEST(Dadn, NfuHandlesExtremes)
@@ -66,22 +68,22 @@ TEST(Dadn, NfuHandlesExtremes)
     std::vector<uint16_t> neurons(16, 0xffff);
     std::vector<int16_t> synapses(16, -32768);
     int64_t expected = 16LL * -32768 * 0xffff;
-    EXPECT_EQ(DadnModel::nfuBrickDot(neurons, synapses), expected);
+    EXPECT_EQ(nfuBrickDot(neurons, synapses), expected);
 }
 
 TEST(Dadn, ComputeWindowMatchesReference)
 {
     auto net = dnn::makeTinyNetwork();
     dnn::ActivationSynthesizer synth(net);
-    DadnModel dadn;
+    sim::AccelConfig accel;
     for (size_t li = 0; li < net.layers.size(); li++) {
         const auto &layer = net.layers[li];
         auto input = synth.synthesizeFixed16(static_cast<int>(li));
         auto filters = dnn::synthesizeFilters(layer);
         for (int wy = 0; wy < layer.outY(); wy += 5) {
             for (int wx = 0; wx < layer.outX(); wx += 5) {
-                EXPECT_EQ(dadn.computeWindow(layer, input, filters[0],
-                                             wx, wy),
+                EXPECT_EQ(computeWindow(layer, accel, input,
+                                        filters[0], wx, wy),
                           dnn::referenceWindowDot(layer, input,
                                                   filters[0], wx, wy))
                     << layer.name;
@@ -92,9 +94,10 @@ TEST(Dadn, ComputeWindowMatchesReference)
 
 TEST(Dadn, RunCoversAllLayers)
 {
-    DadnModel dadn;
     auto net = dnn::makeVggM();
-    auto result = dadn.run(net);
+    auto result = builtinEngines().create("dadn")->runNetwork(
+        net, dnn::ActivationSynthesizer(net), sim::AccelConfig{},
+        sim::SampleSpec{0});
     ASSERT_EQ(result.layers.size(), net.layers.size());
     EXPECT_EQ(result.engineName, "DaDN");
     for (size_t i = 0; i < result.layers.size(); i++) {
@@ -110,10 +113,8 @@ TEST(Dadn, SmallerMachineIsSlower)
 {
     sim::AccelConfig small;
     small.tiles = 4;
-    DadnModel big;
-    DadnModel little(small);
     auto layer = dnn::makeAlexNet().layers[2];
-    EXPECT_GT(little.layerCycles(layer), big.layerCycles(layer));
+    EXPECT_GT(dadnCycles(layer, small), dadnCycles(layer));
 }
 
 } // namespace

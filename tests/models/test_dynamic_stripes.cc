@@ -99,20 +99,19 @@ struct ReferenceTotals
 };
 
 /**
- * Brute-force re-derivation of the DS pallet timing: full per-group
+ * Brute-force re-derivation of the DS pallet timing with @p gc
+ * columns per group and @p R column registers: full per-group
  * finish-time history driven directly by the definition "group g may
  * start set s once the pallet's slowest group finished set s - R".
  */
 ReferenceTotals
 referenceSimulate(const dnn::LayerSpec &layer,
                   const dnn::NeuronTensor &input,
-                  const sim::AccelConfig &accel,
-                  const DynamicStripesConfig &config)
+                  const sim::AccelConfig &accel, int gc, int R,
+                  bool leading_bit)
 {
     sim::LayerTiling tiling(layer, accel);
     const int64_t num_sets = tiling.numSynapseSets();
-    const int gc = config.groupColumns;
-    const int R = config.columnRegisters;
     ReferenceTotals totals;
     for (int64_t pallet = 0; pallet < tiling.numPallets(); pallet++) {
         const int active = tiling.windowsInPallet(pallet);
@@ -137,7 +136,7 @@ referenceSimulate(const dnn::LayerSpec &layer,
                          tiling.gatherBrickView(input, w, sc))
                         mask |= v;
                 }
-                int p = referencePrecision(mask, config.leadingBit);
+                int p = referencePrecision(mask, leading_bit);
                 prec[static_cast<size_t>(g)] = p;
                 totals.terms += static_cast<int64_t>(p) * real_lanes *
                                 (last - first);
@@ -194,18 +193,17 @@ TEST(DynamicStripes, MatchesBruteForceReferenceAcrossKnobGrid)
             for (int regs : {0, 1, 2})
                 for (bool lb : {false, true})
                     for (bool diffy : {false, true}) {
-                        DynamicStripesConfig config;
-                        config.groupColumns = gc;
-                        config.columnRegisters = regs;
-                        config.leadingBit = lb;
-                        config.diffy = diffy;
                         ReferenceTotals want = referenceSimulate(
                             layer, diffy ? diffyReference(input) : input,
-                            accel, config);
-                        sim::LayerResult got =
-                            simulateLayerDynamicStripes(
-                                layer, workload, accel, config,
-                                sim::SampleSpec{0}, exec);
+                            accel, gc, regs, lb);
+                        DynamicStripesEngine engine(
+                            {{"granularity", std::to_string(gc)},
+                             {"column-regs", std::to_string(regs)},
+                             {"leading-bit", lb ? "1" : "0"},
+                             {"diffy", diffy ? "1" : "0"}});
+                        sim::LayerResult got = engine.simulateLayer(
+                            layer, workload, accel, sim::SampleSpec{0},
+                            exec);
                         SCOPED_TRACE("lanes=" + std::to_string(lanes) +
                                      " g=" + std::to_string(gc) +
                                      " r=" + std::to_string(regs) +
@@ -263,7 +261,7 @@ TEST(DynamicStripes, LayerWideLeadingBitWidensToSynthesisWindowTop)
             std::min(16, dnn::synthesisAnchor(layer) +
                              layer.profiledPrecision);
         sim::LayerResult want =
-            StripesModel(accel).layerResult(layer, precision);
+            stripesLayerResult(layer, accel, precision);
         sim::LayerResult got = ds->simulateLayer(
             layer, sim::LayerWorkload(dnn::NeuronTensor()), accel,
             sim::SampleSpec{0}, util::InnerExecutor());

@@ -152,6 +152,16 @@ referenceCycles(const dnn::LayerSpec &layer,
     return static_cast<int64_t>(tiling.passes()) * cycles;
 }
 
+/** The laconic engine's exhaustive price of @p layer. */
+sim::LayerResult
+priceLaconic(const dnn::LayerSpec &layer, const sim::LayerWorkload &workload,
+             const sim::AccelConfig &accel,
+             const util::InnerExecutor &exec = {})
+{
+    return LaconicEngine({}).simulateLayer(layer, workload, accel,
+                                           sim::SampleSpec{0}, exec);
+}
+
 TEST(Laconic, MatchesBruteForcePerTermReference)
 {
     dnn::LayerSpec layer = partialLayer();
@@ -165,8 +175,7 @@ TEST(Laconic, MatchesBruteForcePerTermReference)
     for (int lanes : {dnn::kBrickSize, 8}) {
         sim::AccelConfig accel;
         accel.neuronLanes = lanes;
-        sim::LayerResult got = simulateLayerLaconic(
-            layer, workload, accel, sim::SampleSpec{0}, exec);
+        sim::LayerResult got = priceLaconic(layer, workload, accel, exec);
         EXPECT_EQ(got.effectualTerms,
                   static_cast<double>(
                       referenceTerms(layer, input, accel, codes)))
@@ -202,8 +211,7 @@ TEST(Laconic, MultiPassPricesWorstCasePassButExactTerms)
     ASSERT_EQ(tiling.passes(), 2);
     auto codes = materializeCodes(layer);
     sim::LayerResult got =
-        simulateLayerLaconic(layer, sim::LayerWorkload(input), accel,
-                             sim::SampleSpec{0}, util::InnerExecutor());
+        priceLaconic(layer, sim::LayerWorkload(input), accel);
     EXPECT_EQ(got.effectualTerms,
               static_cast<double>(
                   referenceTerms(layer, input, accel, codes)));
@@ -223,13 +231,9 @@ TEST(Laconic, PropagatedWeightPlanesAreDeterministicAndDistinct)
     sim::LayerWorkload wl_a(input, propagated_builder);
     sim::LayerWorkload wl_b(input, propagated_builder);
     sim::LayerWorkload wl_synth(input);
-    util::InnerExecutor serial;
-    sim::LayerResult a = simulateLayerLaconic(
-        layer, wl_a, accel, sim::SampleSpec{0}, serial);
-    sim::LayerResult b = simulateLayerLaconic(
-        layer, wl_b, accel, sim::SampleSpec{0}, serial);
-    sim::LayerResult synth = simulateLayerLaconic(
-        layer, wl_synth, accel, sim::SampleSpec{0}, serial);
+    sim::LayerResult a = priceLaconic(layer, wl_a, accel);
+    sim::LayerResult b = priceLaconic(layer, wl_b, accel);
+    sim::LayerResult synth = priceLaconic(layer, wl_synth, accel);
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.effectualTerms, b.effectualTerms);
     // Requantized reference weights are a different code stream than

@@ -7,10 +7,10 @@
 
 #include "dnn/activation_synth.h"
 #include "dnn/model_zoo.h"
-#include "models/dadn/dadn.h"
-#include "models/pragmatic/tile.h"
+#include "models/pragmatic/pragmatic_engine.h"
 #include "sim/tiling.h"
 #include "sim/workload_cache.h"
+#include "support/engines.h"
 #include "util/random.h"
 
 namespace pra {
@@ -52,12 +52,11 @@ TEST(PalletSync, WorstCaseEqualsDaDn)
     auto layer = evenLayer();
     sim::LayerWorkload input(constantInput(layer, 0xffff));
     sim::AccelConfig accel;
-    PragmaticTileConfig tile;
-    tile.modelNmStalls = false;
-    auto result = simulateLayerPalletSync(layer, input, accel, tile,
+    PragmaticConfig config;
+    config.modelNmStalls = false;
+    auto result = simulateLayerPalletSync(layer, input, accel, config,
                                           sim::SampleSpec{0});
-    DadnModel dadn(accel);
-    EXPECT_DOUBLE_EQ(result.cycles, dadn.layerCycles(layer));
+    EXPECT_DOUBLE_EQ(result.cycles, dadnCycles(layer, accel));
 }
 
 TEST(PalletSync, SingleBitNeuronsGiveSixteenX)
@@ -65,12 +64,11 @@ TEST(PalletSync, SingleBitNeuronsGiveSixteenX)
     auto layer = evenLayer();
     sim::LayerWorkload input(constantInput(layer, 0b100));
     sim::AccelConfig accel;
-    PragmaticTileConfig tile;
-    tile.modelNmStalls = false;
-    auto result = simulateLayerPalletSync(layer, input, accel, tile,
+    PragmaticConfig config;
+    config.modelNmStalls = false;
+    auto result = simulateLayerPalletSync(layer, input, accel, config,
                                           sim::SampleSpec{0});
-    DadnModel dadn(accel);
-    EXPECT_DOUBLE_EQ(dadn.layerCycles(layer) / result.cycles, 16.0);
+    EXPECT_DOUBLE_EQ(dadnCycles(layer, accel) / result.cycles, 16.0);
 }
 
 TEST(PalletSync, AllZeroInputStillPaysOneCyclePerSet)
@@ -78,9 +76,9 @@ TEST(PalletSync, AllZeroInputStillPaysOneCyclePerSet)
     auto layer = evenLayer();
     sim::LayerWorkload input(constantInput(layer, 0));
     sim::AccelConfig accel;
-    PragmaticTileConfig tile;
-    tile.modelNmStalls = false;
-    auto result = simulateLayerPalletSync(layer, input, accel, tile,
+    PragmaticConfig config;
+    config.modelNmStalls = false;
+    auto result = simulateLayerPalletSync(layer, input, accel, config,
                                           sim::SampleSpec{0});
     sim::LayerTiling tiling(layer, accel);
     EXPECT_DOUBLE_EQ(result.cycles,
@@ -97,14 +95,13 @@ TEST(PalletSync, NeverSlowerThanDaDnOnRandomData)
         v = static_cast<uint16_t>(rng.nextBounded(65536));
     sim::LayerWorkload input(values);
     sim::AccelConfig accel;
-    DadnModel dadn(accel);
     for (int l = 0; l <= 4; l++) {
-        PragmaticTileConfig tile;
-        tile.firstStageBits = l;
-        tile.modelNmStalls = false;
+        PragmaticConfig config;
+        config.firstStageBits = l;
+        config.modelNmStalls = false;
         auto result = simulateLayerPalletSync(layer, input, accel,
-                                              tile, sim::SampleSpec{0});
-        EXPECT_LE(result.cycles, dadn.layerCycles(layer) + 1e-9) << l;
+                                              config, sim::SampleSpec{0});
+        EXPECT_LE(result.cycles, dadnCycles(layer, accel) + 1e-9) << l;
     }
 }
 
@@ -117,11 +114,11 @@ TEST(PalletSync, MonotoneInFirstStageBits)
     sim::AccelConfig accel;
     double prev = 1e18;
     for (int l = 0; l <= 4; l++) {
-        PragmaticTileConfig tile;
-        tile.firstStageBits = l;
-        tile.modelNmStalls = false;
+        PragmaticConfig config;
+        config.firstStageBits = l;
+        config.modelNmStalls = false;
         auto result = simulateLayerPalletSync(layer, input, accel,
-                                              tile, sim::SampleSpec{0});
+                                              config, sim::SampleSpec{0});
         EXPECT_LE(result.cycles, prev) << l;
         prev = result.cycles;
     }
@@ -132,11 +129,11 @@ TEST(PalletSync, SamplingIsUnbiasedOnUniformData)
     auto layer = evenLayer();
     sim::LayerWorkload input(constantInput(layer, 0b1010));
     sim::AccelConfig accel;
-    PragmaticTileConfig tile;
-    tile.modelNmStalls = false;
-    auto full = simulateLayerPalletSync(layer, input, accel, tile,
+    PragmaticConfig config;
+    config.modelNmStalls = false;
+    auto full = simulateLayerPalletSync(layer, input, accel, config,
                                         sim::SampleSpec{0});
-    auto sampled = simulateLayerPalletSync(layer, input, accel, tile,
+    auto sampled = simulateLayerPalletSync(layer, input, accel, config,
                                            sim::SampleSpec{4});
     EXPECT_DOUBLE_EQ(full.cycles, sampled.cycles);
     EXPECT_GT(sampled.sampleScale, 1.0);
@@ -153,11 +150,11 @@ TEST(PalletSync, SamplingCloseOnRandomData)
                 : 0;
     sim::LayerWorkload input(values);
     sim::AccelConfig accel;
-    PragmaticTileConfig tile;
-    tile.modelNmStalls = false;
-    auto full = simulateLayerPalletSync(layer, input, accel, tile,
+    PragmaticConfig config;
+    config.modelNmStalls = false;
+    auto full = simulateLayerPalletSync(layer, input, accel, config,
                                         sim::SampleSpec{0});
-    auto sampled = simulateLayerPalletSync(layer, input, accel, tile,
+    auto sampled = simulateLayerPalletSync(layer, input, accel, config,
                                            sim::SampleSpec{8});
     EXPECT_NEAR(sampled.cycles / full.cycles, 1.0, 0.1);
 }
@@ -169,8 +166,8 @@ TEST(PalletSync, NmStallsOnlyAddCycles)
     sim::LayerWorkload input(synth.synthesizeFixed16Trimmed(0));
     const auto &layer = net.layers[0]; // stride 4: visible stalls.
     sim::AccelConfig accel;
-    PragmaticTileConfig with;
-    PragmaticTileConfig without;
+    PragmaticConfig with;
+    PragmaticConfig without;
     without.modelNmStalls = false;
     auto stalled = simulateLayerPalletSync(layer, input, accel, with,
                                            sim::SampleSpec{32});
@@ -186,9 +183,9 @@ TEST(PalletSync, EffectualTermsScaleWithFilters)
     auto layer = evenLayer();
     sim::LayerWorkload input(constantInput(layer, 0b11));
     sim::AccelConfig accel;
-    PragmaticTileConfig tile;
-    tile.modelNmStalls = false;
-    auto result = simulateLayerPalletSync(layer, input, accel, tile,
+    PragmaticConfig config;
+    config.modelNmStalls = false;
+    auto result = simulateLayerPalletSync(layer, input, accel, config,
                                           sim::SampleSpec{0});
     // Every neuron use contributes 2 essential bits x 256 filters.
     double uses = static_cast<double>(layer.windows()) *
@@ -202,8 +199,8 @@ TEST(PalletSync, SbReadsMatchDaDnSchedule)
     auto layer = evenLayer();
     sim::LayerWorkload input(constantInput(layer, 1));
     sim::AccelConfig accel;
-    PragmaticTileConfig tile;
-    auto result = simulateLayerPalletSync(layer, input, accel, tile,
+    PragmaticConfig config;
+    auto result = simulateLayerPalletSync(layer, input, accel, config,
                                           sim::SampleSpec{0});
     sim::LayerTiling tiling(layer, accel);
     EXPECT_DOUBLE_EQ(result.sbReadSteps,

@@ -11,9 +11,8 @@
 
 #include "dnn/activation_synth.h"
 #include "dnn/model_zoo.h"
-#include "models/dadn/dadn.h"
 #include "models/engines.h"
-#include "models/stripes/stripes.h"
+#include "support/engines.h"
 
 namespace pra {
 namespace models {
@@ -62,10 +61,9 @@ TEST(Simulator, RunsAllLayersDeterministically)
 
 TEST(Simulator, FasterThanDaDnOnRealisticStreams)
 {
-    DadnModel dadn;
     auto net = dnn::makeTinyNetwork();
     auto pra = run(*engine("pragmatic"), net);
-    auto base = dadn.run(net);
+    auto base = run(*engine("dadn"), net);
     EXPECT_GT(pra.speedupOver(base), 1.0);
 }
 
@@ -92,8 +90,7 @@ TEST(Simulator, QuantizedRepresentationRuns)
     EXPECT_GT(result.totalCycles(), 0.0);
     // 8-bit codes: at most 8 essential bits per neuron, so PRA can't
     // be slower than half of DaDN's 16-bit-parallel pace.
-    DadnModel dadn;
-    EXPECT_GT(result.speedupOver(dadn.run(net)), 1.0);
+    EXPECT_GT(result.speedupOver(run(*engine("dadn"), net)), 1.0);
 }
 
 TEST(Simulator, StripesQuant8PrecisionsAreInByteRange)
@@ -103,19 +100,17 @@ TEST(Simulator, StripesQuant8PrecisionsAreInByteRange)
     auto net = dnn::makeAlexNet();
     auto result = run(*engine("stripes", {{"repr", "quant8"}}), net);
     ASSERT_EQ(result.layers.size(), net.layers.size());
-    StripesModel stripes;
     for (size_t i = 0; i < net.layers.size(); i++) {
         int precision = 0;
         for (int p = 1; p <= 16 && precision == 0; p++)
-            if (stripes.layerCycles(net.layers[i], p) ==
+            if (stripesCycles(net.layers[i], p) ==
                 result.layers[i].cycles)
                 precision = p;
         EXPECT_GE(precision, 1) << net.layers[i].name;
         EXPECT_LE(precision, 8) << net.layers[i].name;
     }
     // Image layer codes span the full byte.
-    EXPECT_EQ(result.layers[0].cycles,
-              stripes.layerCycles(net.layers[0], 8));
+    EXPECT_EQ(result.layers[0].cycles, stripesCycles(net.layers[0], 8));
 }
 
 TEST(Simulator, SeedChangesWorkloadNotShape)

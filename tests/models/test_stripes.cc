@@ -1,14 +1,15 @@
 /**
  * @file
- * Tests for the Stripes baseline model.
+ * Tests for the Stripes baseline engine and its serial datapath.
  */
 
 #include <gtest/gtest.h>
 
 #include "dnn/model_zoo.h"
-#include "models/dadn/dadn.h"
+#include "dnn/activation_synth.h"
 #include "models/stripes/stripes.h"
 #include "sim/tiling.h"
+#include "support/engines.h"
 #include "util/random.h"
 
 namespace pra {
@@ -24,8 +25,7 @@ TEST(Stripes, SerialMultiplyMatchesProductWithinWindow)
             static_cast<int16_t>(rng.nextInRange(-32768, 32767));
         auto neuron = static_cast<uint16_t>(
             rng.nextBounded(1u << precision));
-        EXPECT_EQ(StripesModel::serialMultiply(synapse, neuron,
-                                               precision),
+        EXPECT_EQ(serialMultiply(synapse, neuron, precision),
                   static_cast<int64_t>(synapse) * neuron);
     }
 }
@@ -37,7 +37,7 @@ TEST(Stripes, SerialMultiplyWithAnchoredWindow)
     int lsb = 3;
     int precision = 6;
     uint16_t neuron = static_cast<uint16_t>(0b101101 << lsb);
-    EXPECT_EQ(StripesModel::serialMultiply(100, neuron, precision, lsb),
+    EXPECT_EQ(serialMultiply(100, neuron, precision, lsb),
               100LL * neuron);
 }
 
@@ -46,19 +46,18 @@ TEST(Stripes, SerialMultiplyTruncatesOutsideWindow)
     // Bits above the window are not processed: Stripes depends on the
     // profiled precision being sufficient.
     uint16_t neuron = 0b1000'0001; // bit 7 outside a 4-bit window.
-    EXPECT_EQ(StripesModel::serialMultiply(10, neuron, 4, 0), 10);
+    EXPECT_EQ(serialMultiply(10, neuron, 4, 0), 10);
 }
 
 TEST(Stripes, LayerCyclesFormula)
 {
-    StripesModel stripes;
     auto layer = dnn::makeAlexNet().layers[1]; // p == 8.
     sim::AccelConfig accel;
     sim::LayerTiling tiling(layer, accel);
     double expected = static_cast<double>(tiling.passes()) *
                       static_cast<double>(tiling.numPallets()) *
                       static_cast<double>(tiling.numSynapseSets()) * 8.0;
-    EXPECT_DOUBLE_EQ(stripes.layerCycles(layer, 8), expected);
+    EXPECT_DOUBLE_EQ(stripesCycles(layer, 8), expected);
 }
 
 TEST(Stripes, IdealSpeedupSixteenOverP)
@@ -77,10 +76,7 @@ TEST(Stripes, IdealSpeedupSixteenOverP)
     layer.pad = 0;
     layer.profiledPrecision = 8;
     ASSERT_EQ(layer.windows() % 16, 0); // 16x16 windows.
-    DadnModel dadn;
-    StripesModel stripes;
-    EXPECT_DOUBLE_EQ(dadn.layerCycles(layer) /
-                         stripes.layerCycles(layer, 8),
+    EXPECT_DOUBLE_EQ(dadnCycles(layer) / stripesCycles(layer, 8),
                      16.0 / 8.0);
 }
 
@@ -89,53 +85,49 @@ TEST(Stripes, PartialPalletsLoseSomeThroughput)
     // With windows not divisible by 16 the ceil() costs Stripes a
     // little, exactly as in hardware.
     auto layer = dnn::makeAlexNet().layers[2]; // 13x13 windows.
-    DadnModel dadn;
-    StripesModel stripes;
-    double speedup =
-        dadn.layerCycles(layer) / stripes.layerCycles(layer, 8);
+    double speedup = dadnCycles(layer) / stripesCycles(layer, 8);
     EXPECT_LT(speedup, 2.0);
     EXPECT_GT(speedup, 1.8);
 }
 
 TEST(Stripes, RunUsesProfiledPrecisions)
 {
-    StripesModel stripes;
     auto net = dnn::makeAlexNet();
-    auto result = stripes.run(net);
+    auto result = builtinEngines().create("stripes")->runNetwork(
+        net, dnn::ActivationSynthesizer(net), sim::AccelConfig{},
+        sim::SampleSpec{0});
     ASSERT_EQ(result.layers.size(), 5u);
     // conv3 (p == 5) must be relatively faster than conv1 (p == 9).
-    StripesModel ref;
     EXPECT_DOUBLE_EQ(result.layers[2].cycles,
-                     ref.layerCycles(net.layers[2], 5));
+                     stripesCycles(net.layers[2], 5));
     EXPECT_DOUBLE_EQ(result.layers[0].cycles,
-                     ref.layerCycles(net.layers[0], 9));
+                     stripesCycles(net.layers[0], 9));
 }
 
-TEST(Stripes, ExplicitPrecisionOverride)
+TEST(Stripes, PrecisionKnobOverridesEveryLayer)
 {
-    StripesModel stripes;
     auto net = dnn::makeTinyNetwork();
-    std::vector<int> eight(net.layers.size(), 8);
-    std::vector<int> four(net.layers.size(), 4);
-    auto slow = stripes.run(net, eight);
-    auto fast = stripes.run(net, four);
-    EXPECT_DOUBLE_EQ(slow.totalCycles() / fast.totalCycles(), 2.0);
-}
-
-TEST(Stripes, PrecisionListMismatchPanics)
-{
-    StripesModel stripes;
-    auto net = dnn::makeTinyNetwork();
-    std::vector<int> wrong(net.layers.size() + 1, 8);
-    EXPECT_DEATH(stripes.run(net, wrong), "precision list");
+    dnn::ActivationSynthesizer synth(net);
+    auto run = [&](const char *precision) {
+        return builtinEngines()
+            .create("stripes", {{"precision", precision}})
+            ->runNetwork(net, synth, sim::AccelConfig{},
+                         sim::SampleSpec{0})
+            .totalCycles();
+    };
+    EXPECT_DOUBLE_EQ(run("8") / run("4"), 2.0);
 }
 
 TEST(Stripes, PrecisionBoundsChecked)
 {
-    StripesModel stripes;
     auto layer = dnn::makeTinyNetwork().layers[0];
-    EXPECT_DEATH(stripes.layerCycles(layer, 0), "precision");
-    EXPECT_DEATH(stripes.layerCycles(layer, 17), "precision");
+    EXPECT_DEATH(stripesLayerResult(layer, sim::AccelConfig{}, 0),
+                 "precision");
+    EXPECT_DEATH(stripesLayerResult(layer, sim::AccelConfig{}, 17),
+                 "precision");
+    EXPECT_DEATH(builtinEngines().create("stripes",
+                                         {{"precision", "17"}}),
+                 "precision must be in 0..16");
 }
 
 /** Stripes never beats 16/p nor loses to DaDN across precisions. */
@@ -146,11 +138,8 @@ class StripesPrecisions : public ::testing::TestWithParam<int>
 TEST_P(StripesPrecisions, SpeedupBounded)
 {
     int p = GetParam();
-    DadnModel dadn;
-    StripesModel stripes;
     for (const auto &layer : dnn::makeVggM().layers) {
-        double speedup =
-            dadn.layerCycles(layer) / stripes.layerCycles(layer, p);
+        double speedup = dadnCycles(layer) / stripesCycles(layer, p);
         EXPECT_LE(speedup, 16.0 / p + 1e-9);
         EXPECT_GE(speedup, 16.0 / p * 0.5); // Pallet rounding bound.
     }

@@ -10,9 +10,7 @@
 #include "dnn/activation_synth.h"
 #include "dnn/model_zoo.h"
 #include "models/analytic/term_count.h"
-#include "models/dadn/dadn.h"
 #include "models/engines.h"
-#include "models/stripes/stripes.h"
 #include "sim/sweep.h"
 #include "support/grid_oracle.h"
 
@@ -128,33 +126,7 @@ TEST(EngineRegistryDeathTest, RejectsUnknownKindAndKnob)
                  "unknown knob");
 }
 
-TEST(EngineAdapters, DadnMatchesModel)
-{
-    auto net = dnn::makeTinyNetwork();
-    dnn::ActivationSynthesizer synth(net);
-    AccelConfig accel;
-    auto engine = models::builtinEngines().create("dadn");
-    NetworkResult via_engine =
-        engine->runNetwork(net, synth, accel, SampleSpec{0});
-    NetworkResult direct = models::DadnModel(accel).run(net);
-    ASSERT_EQ(via_engine.layers.size(), direct.layers.size());
-    EXPECT_EQ(via_engine.totalCycles(), direct.totalCycles());
-    EXPECT_EQ(via_engine.engineName, direct.engineName);
-}
-
-TEST(EngineAdapters, StripesMatchesModel)
-{
-    auto net = dnn::makeTinyNetwork();
-    dnn::ActivationSynthesizer synth(net);
-    AccelConfig accel;
-    auto engine = models::builtinEngines().create("stripes");
-    NetworkResult via_engine =
-        engine->runNetwork(net, synth, accel, SampleSpec{0});
-    NetworkResult direct = models::StripesModel(accel).run(net);
-    EXPECT_EQ(via_engine.totalCycles(), direct.totalCycles());
-}
-
-TEST(EngineAdapters, TermsTrimmingMatchesSynthesizer)
+TEST(TermsEngine, TrimmingMatchesSynthesizer)
 {
     // The terms engine's pra-red counts must agree with counts taken
     // on the synthesizer's own trimmed stream, and so must the layer
