@@ -74,8 +74,6 @@ class TermCountEngine : public sim::Engine
 
     using sim::Engine::runNetwork;
 
-    Series series() const { return series_; }
-
   private:
     Series series_ = Series::PraTrimmed;
 

@@ -102,8 +102,6 @@ class PragmaticEngine : public sim::Engine
                   const sim::SampleSpec &sample,
                   const util::InnerExecutor &exec) const override;
 
-    const PragmaticConfig &config() const { return config_; }
-
   private:
     PragmaticConfig config_;
 };

@@ -1,8 +1,8 @@
 /**
  * @file
- * Pricing one layer on a registry engine, for tests that compare an
- * engine against a closed form or against another engine on a single
- * layer: exhaustive (no sampling), serial.
+ * Pricing one layer on a value-independent registry engine (DaDN,
+ * Stripes), for tests that compare a layer against those baselines'
+ * closed forms: exhaustive, serial.
  */
 
 #pragma once
@@ -14,17 +14,16 @@ namespace pra {
 namespace models {
 
 /**
- * @p layer priced on @p accel by the registry engine @p sel, fed
- * @p input (the empty default suits the value-independent engines).
+ * @p layer priced on @p accel by the value-independent registry
+ * engine @p sel (it reads no stream, so the workload is empty).
  */
 inline sim::LayerResult
 priceLayer(const sim::EngineSelection &sel, const dnn::LayerSpec &layer,
-           const sim::AccelConfig &accel = {},
-           const dnn::NeuronTensor &input = {})
+           const sim::AccelConfig &accel)
 {
     return builtinEngines().create(sel)->simulateLayer(
-        layer, sim::LayerWorkload(input), accel, sim::SampleSpec{0},
-        util::InnerExecutor());
+        layer, sim::LayerWorkload(dnn::NeuronTensor()), accel,
+        sim::SampleSpec{0}, util::InnerExecutor());
 }
 
 /** DaDN's cycles for @p layer on @p accel. */
