@@ -3,9 +3,10 @@
  * google-benchmark microbenchmarks of the simulator's hot kernels:
  * oneffset generation, brick scheduling across first-stage widths,
  * the functional PIP, activation synthesis and its inverse-CDF
- * sampler, and the workload-cache substrate (brick-plane
+ * sampler, the workload-cache substrate (brick-plane
  * construction, plane-served vs tensor-served pallet-sync layer
- * simulation). These gate the simulator's own throughput, not the
+ * simulation) and the reference convolution behind propagated
+ * activations. These gate the simulator's own throughput, not the
  * modeled hardware.
  */
 
@@ -18,6 +19,7 @@
 
 #include "dnn/activation_synth.h"
 #include "dnn/model_zoo.h"
+#include "dnn/reference.h"
 #include "fixedpoint/fixed_point.h"
 #include "fixedpoint/oneffset.h"
 #include "models/pragmatic/pip.h"
@@ -26,6 +28,7 @@
 #include "sim/operand_planes.h"
 #include "sim/workload_cache.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 using namespace pra;
 
@@ -331,6 +334,45 @@ BM_WorkloadCacheHit(benchmark::State &state)
             cache.layer(synth, 0, sim::InputStream::Fixed16Trimmed));
 }
 BENCHMARK(BM_WorkloadCacheHit);
+
+/**
+ * The reference convolution the propagated forward pass runs per
+ * layer, on a VGG-like 3x3 layer (28 x 28 x 256 in, 256 filters, pad
+ * 1) with half-zero 13-bit inputs and +-255 filters. The range
+ * argument is the filter-block count: 1 runs inline, 4 splits the
+ * filters over a pool. MAC/s counts multiply-accumulates per
+ * wall-clock second.
+ */
+void
+BM_ReferenceConvolution(benchmark::State &state)
+{
+    dnn::LayerSpec layer;
+    layer.name = "conv3x3_256";
+    layer.inputX = 28;
+    layer.inputY = 28;
+    layer.inputChannels = 256;
+    layer.filterX = 3;
+    layer.filterY = 3;
+    layer.numFilters = 256;
+    layer.pad = 1;
+    dnn::NeuronTensor input(layer.inputX, layer.inputY,
+                            layer.inputChannels);
+    std::vector<uint16_t> values = randomNeurons(input.size(), 7);
+    std::copy(values.begin(), values.end(), input.flat().begin());
+    std::vector<dnn::FilterTensor> filters = dnn::synthesizeFilters(layer);
+    const int blocks = static_cast<int>(state.range(0));
+    util::ThreadPool pool(blocks - 1);
+    util::InnerExecutor exec(blocks > 1 ? &pool : nullptr, blocks);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            dnn::referenceConvolution(layer, input, filters, exec));
+    const double macs = static_cast<double>(layer.outX()) * layer.outY() *
+                        layer.numFilters * layer.synapsesPerFilter();
+    state.counters["MAC/s"] = benchmark::Counter(
+        macs * static_cast<double>(state.iterations()),
+        benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_ReferenceConvolution)->Arg(1)->Arg(4)->UseRealTime();
 
 } // namespace
 

@@ -195,7 +195,8 @@ quantizeStream(const NeuronTensor &stream,
 }
 
 PropagatedChain
-propagateChain(const ActivationSynthesizer &synth, int image)
+propagateChain(const ActivationSynthesizer &synth, int image,
+               const util::InnerExecutor &exec)
 {
     const Network &net = synth.network();
     PRA_CHECK(image >= 0, "propagateChain: batch image index must be "
@@ -293,7 +294,7 @@ propagateChain(const ActivationSynthesizer &synth, int image)
                 std::vector<FilterTensor> filters = synthesizeFilters(
                     layer, synth.seed() ^ kPropagationFilterSalt);
                 Tensor3D<int64_t> out =
-                    referenceConvolution(layer, input16, filters);
+                    referenceConvolution(layer, input16, filters, exec);
                 relu(out);
                 outputs[j] = std::move(out);
             }

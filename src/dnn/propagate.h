@@ -43,6 +43,7 @@
 #include "dnn/reference.h"
 #include "dnn/tensor.h"
 #include "fixedpoint/quantization.h"
+#include "util/thread_pool.h"
 
 namespace pra {
 namespace dnn {
@@ -83,10 +84,14 @@ struct PropagatedChain
  * kPropagationFilterSalt) — the whole batch shares one trained model,
  * so filters do not vary with @p image, only the input image (and
  * hence every propagated stream) does. Image 0 is the historical
- * chain, byte-identical to the pre-batch pipeline.
+ * chain, byte-identical to the pre-batch pipeline. Each layer's
+ * filters split into blocks over @p exec (see
+ * referenceConvolution()); the chain is byte-identical for every
+ * executor.
  */
 PropagatedChain propagateChain(const ActivationSynthesizer &synth,
-                               int image = 0);
+                               int image = 0,
+                               const util::InnerExecutor &exec = {});
 
 /**
  * Pool the int64 activation tensor @p input through pool layer

@@ -1,6 +1,8 @@
 #include "dnn/reference.h"
 
 #include <algorithm>
+#include <cstdlib>
+#include <limits>
 
 #include "util/check.h"
 #include "util/logging.h"
@@ -10,40 +12,87 @@ namespace dnn {
 
 namespace {
 
+constexpr int64_t kInt32Max = std::numeric_limits<int32_t>::max();
+
+/** The re-centring offset: u - kInputOffset fits int16 for any u. */
+constexpr int32_t kInputOffset = 32768;
+
 /**
- * The dot product of one window against one filter, walking the
- * channel-major storage directly: for each in-range filter row
- * segment the input channels are contiguous, so the inner loop is a
- * plain span product instead of a per-element bounds-checked at()
- * (which a whole-network forward pass cannot afford). Out-of-range
- * coordinates contribute zero (padding), exactly like atPadded().
+ * The longest run of re-centred products w x (u - 32768) whose int32
+ * sum cannot overflow, given the largest weight magnitude of the
+ * call: each product is at most max|w| x 32768 <= 2^30 in magnitude,
+ * so the run is at least one.
+ */
+int
+exactRunLength(int max_abs_weight)
+{
+    const int64_t bound =
+        static_cast<int64_t>(max_abs_weight) * kInputOffset;
+    return static_cast<int>(bound == 0 ? kInt32Max : kInt32Max / bound);
+}
+
+int
+maxAbsWeight(const FilterTensor &filter)
+{
+    int best = 0;
+    for (int16_t w : filter.flat())
+        best = std::max(best, std::abs(static_cast<int>(w)));
+    return best;
+}
+
+/**
+ * The dot product of one window against one filter. Each in-range
+ * filter row covers consecutive x positions, and the tensors are
+ * channel-major, so the row is one contiguous span in both operands:
+ * out-of-range coordinates contribute zero (padding), exactly like
+ * atPadded().
+ *
+ * Each input code u is re-centred to the int16 s = u - 32768 (bit
+ * pattern u ^ 0x8000), so w x u = w x s + 32768 x w. The int16
+ * products w x s add up in int32 over runs of at most @p run
+ * elements (see exactRunLength), next to the run's weight sum, and
+ * each run folds into the int64 result as sum(w x s) + 32768 x
+ * sum(w). No partial sum can overflow, so the result is exact, and
+ * the int16 x int16 products compile to packed multiply-adds.
  */
 int64_t
-windowDotFast(const LayerSpec &layer, const NeuronTensor &input,
-              const FilterTensor &filter, int window_x, int window_y)
+windowDot(const LayerSpec &layer, const NeuronTensor &input,
+          const FilterTensor &filter, int window_x, int window_y,
+          int run)
 {
     const uint16_t *in = input.flat().data();
     const int16_t *fl = filter.flat().data();
     const int channels = layer.inputChannels;
+    const int base_x = window_x * layer.stride - layer.pad;
+    const int base_y = window_y * layer.stride - layer.pad;
+    const int x_lo = std::max(0, -base_x);
+    const int x_hi = std::min(layer.filterX, layer.inputX - base_x);
+    if (x_lo >= x_hi)
+        return 0;
+    const int len = (x_hi - x_lo) * channels;
     int64_t acc = 0;
-    int base_x = window_x * layer.stride - layer.pad;
-    int base_y = window_y * layer.stride - layer.pad;
     for (int fy = 0; fy < layer.filterY; fy++) {
-        int y = base_y + fy;
+        const int y = base_y + fy;
         if (y < 0 || y >= layer.inputY)
             continue;
-        int x_lo = std::max(0, -base_x);
-        int x_hi = std::min(layer.filterX, layer.inputX - base_x);
-        for (int fx = x_lo; fx < x_hi; fx++) {
-            int x = base_x + fx;
-            const uint16_t *in_col =
-                in + (static_cast<size_t>(y) * layer.inputX + x) *
-                         channels;
-            const int16_t *fl_col =
-                fl + (static_cast<size_t>(fy) * layer.filterX + fx) *
-                         channels;
-            for (int i = 0; i < channels; i++)
-                acc += static_cast<int64_t>(fl_col[i]) * in_col[i];
+        const uint16_t *in_row =
+            in + (static_cast<size_t>(y) * layer.inputX + base_x + x_lo) *
+                     channels;
+        const int16_t *fl_row =
+            fl + (static_cast<size_t>(fy) * layer.filterX + x_lo) *
+                     channels;
+        for (int start = 0; start < len;) {
+            const int end = start + std::min(run, len - start);
+            int32_t products = 0;
+            int32_t weights = 0;
+            for (int i = start; i < end; i++) {
+                const auto centred =
+                    static_cast<int16_t>(in_row[i] ^ 0x8000u);
+                products += static_cast<int32_t>(fl_row[i]) * centred;
+                weights += fl_row[i];
+            }
+            acc += products + static_cast<int64_t>(weights) * kInputOffset;
+            start = end;
         }
     }
     return acc;
@@ -55,12 +104,14 @@ int64_t
 referenceWindowDot(const LayerSpec &layer, const NeuronTensor &input,
                    const FilterTensor &filter, int window_x, int window_y)
 {
-    return windowDotFast(layer, input, filter, window_x, window_y);
+    return windowDot(layer, input, filter, window_x, window_y,
+                     exactRunLength(maxAbsWeight(filter)));
 }
 
 OutputTensor
 referenceConvolution(const LayerSpec &layer, const NeuronTensor &input,
-                     const std::vector<FilterTensor> &filters)
+                     const std::vector<FilterTensor> &filters,
+                     const util::InnerExecutor &exec)
 {
     PRA_CHECK(layer.valid(), "referenceConvolution: bad layer");
     PRA_CHECK(input.sizeX() == layer.inputX &&
@@ -70,24 +121,35 @@ referenceConvolution(const LayerSpec &layer, const NeuronTensor &input,
     PRA_CHECK(static_cast<int>(filters.size()) ==
                              layer.numFilters,
                          "referenceConvolution: filter count mismatch");
+    int max_abs_weight = 0;
+    for (const FilterTensor &filter : filters) {
+        PRA_CHECK(filter.sizeX() == layer.filterX &&
+                                 filter.sizeY() == layer.filterY &&
+                                 filter.sizeI() == layer.inputChannels,
+                             "referenceConvolution: filter shape mismatch");
+        max_abs_weight = std::max(max_abs_weight, maxAbsWeight(filter));
+    }
+    const int run = exactRunLength(max_abs_weight);
 
     OutputTensor output(layer.outX(), layer.outY(), layer.numFilters);
     int64_t *out = output.flat().data();
     const int out_x = layer.outX();
     const int out_y = layer.outY();
     const int num_filters = layer.numFilters;
-    for (int f = 0; f < num_filters; f++) {
-        const FilterTensor &filter = filters[f];
-        PRA_CHECK(filter.sizeX() == layer.filterX &&
-                                 filter.sizeY() == layer.filterY &&
-                                 filter.sizeI() == layer.inputChannels,
-                             "referenceConvolution: filter shape mismatch");
-        for (int wy = 0; wy < out_y; wy++)
-            for (int wx = 0; wx < out_x; wx++)
-                out[(static_cast<size_t>(wy) * out_x + wx) *
-                        num_filters +
-                    f] = windowDotFast(layer, input, filter, wx, wy);
-    }
+    // Each block owns a contiguous filter range and computes its
+    // outputs whole, so every split writes the same bytes.
+    const int blocks = exec.blockCount(num_filters);
+    exec.forEachBlock(blocks, [&](int b) {
+        auto [lo, hi] =
+            util::InnerExecutor::blockRange(num_filters, blocks, b);
+        for (int64_t f = lo; f < hi; f++)
+            for (int wy = 0; wy < out_y; wy++)
+                for (int wx = 0; wx < out_x; wx++)
+                    out[(static_cast<size_t>(wy) * out_x + wx) *
+                            num_filters +
+                        f] = windowDot(layer, input, filters[f], wx, wy,
+                                       run);
+    });
     return output;
 }
 

@@ -13,6 +13,7 @@
 
 #include "dnn/layer_spec.h"
 #include "dnn/tensor.h"
+#include "util/thread_pool.h"
 
 namespace pra {
 namespace dnn {
@@ -26,17 +27,27 @@ using OutputTensor = Tensor3D<int64_t>;
  * zero padding (paper Section IV-A). No activation function is
  * applied: the accelerators compare pre-activation partial sums.
  *
+ * Products add up in int32 over runs short enough that no partial
+ * sum can overflow (set per call from the largest weight magnitude),
+ * and each run folds into the int64 result: exact for any int16
+ * filter and uint16 input.
+ *
  * @param layer   geometry (input size must match @p input).
  * @param input   the input neuron array.
  * @param filters one FilterTensor per output filter.
+ * @param exec    splits the filters into contiguous blocks; each
+ *                output element is computed whole by one block, so
+ *                the result is byte-identical for every block count.
  */
 OutputTensor referenceConvolution(const LayerSpec &layer,
                                   const NeuronTensor &input,
-                                  const std::vector<FilterTensor> &filters);
+                                  const std::vector<FilterTensor> &filters,
+                                  const util::InnerExecutor &exec = {});
 
 /**
  * Dot product of one window position against one filter; the quantum
- * of work the inner-product units perform.
+ * of work the inner-product units perform. Same kernel as
+ * referenceConvolution().
  */
 int64_t referenceWindowDot(const LayerSpec &layer,
                            const NeuronTensor &input,

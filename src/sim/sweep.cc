@@ -56,7 +56,7 @@ runGrid(const std::vector<dnn::Network> &networks,
     if (first == last)
         return;
 
-    WorkloadCache cache;
+    WorkloadCache cache(options.threads);
     auto runCell = [&](size_t cell, const util::InnerExecutor &exec) {
         // Each cell builds its own engine and draws its streams from
         // the grid-wide cache. Streams depend only on (network,

@@ -288,12 +288,25 @@ WorkloadCache::chain(const dnn::ActivationSynthesizer &synth,
         try {
             mine->promise.set_value(
                 std::make_shared<const dnn::PropagatedChain>(
-                    dnn::propagateChain(synth, image)));
+                    dnn::propagateChain(synth, image, chainExecutor())));
         } catch (...) {
             mine->promise.set_exception(std::current_exception());
         }
     }
     return future.get();
+}
+
+util::InnerExecutor
+WorkloadCache::chainExecutor()
+{
+    if (threads_ <= 1)
+        return {};
+    // The building thread runs blocks too while it waits, so
+    // threads_ - 1 pool workers keep threads_ cores busy.
+    std::call_once(chainPoolOnce_, [this] {
+        chainPool_ = std::make_unique<util::ThreadPool>(threads_ - 1);
+    });
+    return util::InnerExecutor(chainPool_.get(), threads_);
 }
 
 int64_t

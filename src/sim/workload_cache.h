@@ -73,6 +73,7 @@
 #include "dnn/propagate.h"
 #include "dnn/tensor.h"
 #include "sim/operand_planes.h"
+#include "util/thread_pool.h"
 
 namespace pra {
 namespace sim {
@@ -230,11 +231,18 @@ class LayerWorkload
  * each other's streams. Concurrent requests for the same key block
  * until the first requester finishes building; everyone shares one
  * immutable object.
+ *
+ * A cache given more than one worker builds each propagated chain
+ * with its filters split over a pool of its own, started by the first
+ * chain build (synthetic runs never start it). The pool holds only
+ * convolution blocks: a grid pool's helping wait could run a cell
+ * that asks for the very chain its thread is building.
  */
 class WorkloadCache
 {
   public:
-    WorkloadCache() = default;
+    /** @p threads: workers a chain build may use (<= 1: serial). */
+    explicit WorkloadCache(int threads = 1) : threads_(threads) {}
 
     WorkloadCache(const WorkloadCache &) = delete;
     WorkloadCache &operator=(const WorkloadCache &) = delete;
@@ -260,7 +268,8 @@ class WorkloadCache
     /**
      * The shared propagated chain for @p synth's (network, seed) and
      * batch image @p image: one reference forward pass per image,
-     * built once and handed to every consumer.
+     * built once (on the cache's chain pool when it has one) and
+     * handed to every consumer.
      */
     std::shared_ptr<const dnn::PropagatedChain>
     chain(const dnn::ActivationSynthesizer &synth, int image = 0);
@@ -289,6 +298,12 @@ class WorkloadCache
         std::shared_future<std::shared_ptr<V>> future;
     };
 
+    /** The executor chain builds split their filters over. */
+    util::InnerExecutor chainExecutor();
+
+    const int threads_;
+    std::once_flag chainPoolOnce_;
+    std::unique_ptr<util::ThreadPool> chainPool_;
     mutable std::mutex mutex_;
     std::map<SynthKey, Entry<const dnn::ActivationSynthesizer>> synths_;
     std::map<ChainKey, Entry<const dnn::PropagatedChain>> chains_;

@@ -15,6 +15,7 @@
 #include "dnn/model_zoo.h"
 #include "dnn/propagate.h"
 #include "dnn/reference.h"
+#include "util/thread_pool.h"
 
 namespace pra {
 namespace dnn {
@@ -292,12 +293,9 @@ TEST(PropagateChain, ReluSparsityFlowsDownstream)
     EXPECT_LT(fraction, 0.95);
 }
 
-TEST(PropagateChain, DeterministicAcrossRebuilds)
+void
+expectSameChain(const PropagatedChain &a, const PropagatedChain &b)
 {
-    Network net = makeTinyNetwork(LayerSelect::All);
-    ActivationSynthesizer synth(net, 0x1234);
-    PropagatedChain a = propagateChain(synth);
-    PropagatedChain b = propagateChain(synth);
     ASSERT_EQ(a.inputs.size(), b.inputs.size());
     for (size_t i = 0; i < a.inputs.size(); i++) {
         ASSERT_EQ(a.inputs[i].size(), b.inputs[i].size());
@@ -306,6 +304,29 @@ TEST(PropagateChain, DeterministicAcrossRebuilds)
         for (size_t k = 0; k < rhs.size(); k++)
             ASSERT_EQ(lhs[k], rhs[k]);
         EXPECT_EQ(a.inputScale[i], b.inputScale[i]);
+    }
+}
+
+TEST(PropagateChain, DeterministicAcrossRebuilds)
+{
+    Network net = makeTinyNetwork(LayerSelect::All);
+    ActivationSynthesizer synth(net, 0x1234);
+    expectSameChain(propagateChain(synth), propagateChain(synth));
+}
+
+TEST(PropagateChain, IdenticalForEveryFilterBlockCount)
+{
+    // Each output element is computed whole by one filter block, so
+    // splitting the layers over a pool changes no byte.
+    Network net = makeTinyNetwork(LayerSelect::All);
+    ActivationSynthesizer synth(net, 0x5eed);
+    PropagatedChain serial = propagateChain(synth, 1);
+    util::ThreadPool pool(3);
+    for (int blocks : {2, 3, 5}) {
+        SCOPED_TRACE(blocks);
+        expectSameChain(
+            propagateChain(synth, 1, util::InnerExecutor(&pool, blocks)),
+            serial);
     }
 }
 

@@ -5,9 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <string>
+
 #include "dnn/activation_synth.h"
 #include "dnn/model_zoo.h"
 #include "dnn/reference.h"
+#include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace pra {
 namespace dnn {
@@ -111,6 +117,132 @@ TEST(Reference, WindowDotMatchesFullConvolution)
                 EXPECT_EQ(out.at(wx, wy, f),
                           referenceWindowDot(spec, input, filters[f],
                                              wx, wy));
+            }
+        }
+    }
+}
+
+/**
+ * The independent oracle: the textbook int64 sum over (fy, fx, i)
+ * through bounds-checked, zero-padded element access.
+ */
+int64_t
+oracleDot(const LayerSpec &layer, const NeuronTensor &input,
+          const FilterTensor &filter, int wx, int wy)
+{
+    int64_t acc = 0;
+    for (int fy = 0; fy < layer.filterY; fy++)
+        for (int fx = 0; fx < layer.filterX; fx++)
+            for (int i = 0; i < layer.inputChannels; i++)
+                acc += static_cast<int64_t>(filter.at(fx, fy, i)) *
+                       input.atPadded(wx * layer.stride - layer.pad + fx,
+                                      wy * layer.stride - layer.pad + fy,
+                                      i);
+    return acc;
+}
+
+/**
+ * Every extreme of the int16 x uint16 range against the oracle, on
+ * 832 channels so the kernel's int32 runs end mid-row whenever the
+ * weights allow runs longer than one product, under stride and pad
+ * variants (pad 3 leaves windows wholly in the padding) and at
+ * filter-block counts 1, 2, 3 and 5.
+ */
+TEST(Reference, ExactAgainstInt64OracleAtExtremes)
+{
+    using Fill16 = std::function<int16_t(util::Xoshiro256 &)>;
+    using FillU16 = std::function<uint16_t(util::Xoshiro256 &)>;
+    const std::vector<std::pair<std::string, Fill16>> weights = {
+        {"-32768", [](util::Xoshiro256 &) { return int16_t{-32768}; }},
+        {"+32767", [](util::Xoshiro256 &) { return int16_t{32767}; }},
+        {"+-32767/-32768",
+         [](util::Xoshiro256 &rng) {
+             static constexpr int16_t kChoices[] = {32767, -32767, -32768};
+             return kChoices[rng.nextBounded(3)];
+         }},
+        {"+-255",
+         [](util::Xoshiro256 &rng) {
+             return static_cast<int16_t>(
+                 static_cast<int>(rng.nextBounded(511)) - 255);
+         }},
+        {"+-16384",
+         [](util::Xoshiro256 &rng) {
+             return static_cast<int16_t>(
+                 static_cast<int>(rng.nextBounded(32769)) - 16384);
+         }},
+        {"zero", [](util::Xoshiro256 &) { return int16_t{0}; }},
+    };
+    const std::vector<std::pair<std::string, FillU16>> inputs = {
+        {"65535", [](util::Xoshiro256 &) { return uint16_t{65535}; }},
+        {"zero", [](util::Xoshiro256 &) { return uint16_t{0}; }},
+        {"0/32768/65535",
+         [](util::Xoshiro256 &rng) {
+             static constexpr uint16_t kChoices[] = {0, 32768, 65535};
+             return kChoices[rng.nextBounded(3)];
+         }},
+        {"uniform",
+         [](util::Xoshiro256 &rng) {
+             return static_cast<uint16_t>(rng.nextBounded(65536));
+         }},
+    };
+    struct Geometry
+    {
+        int stride;
+        int pad;
+    };
+    const std::vector<Geometry> geometries = {{1, 0}, {2, 1}, {1, 3}};
+    util::ThreadPool pool(4);
+
+    LayerSpec layer;
+    layer.name = "extremes";
+    layer.inputX = 4;
+    layer.inputY = 3;
+    layer.inputChannels = 832;
+    layer.filterX = 3;
+    layer.filterY = 3;
+    layer.numFilters = 5;
+    util::Xoshiro256 rng(0xe4ac7);
+    for (const auto &[wname, weight] : weights) {
+        std::vector<FilterTensor> filters(
+            layer.numFilters,
+            FilterTensor(layer.filterX, layer.filterY,
+                         layer.inputChannels));
+        for (auto &filter : filters)
+            for (auto &w : filter.flat())
+                w = weight(rng);
+        for (const auto &[iname, value] : inputs) {
+            NeuronTensor input(layer.inputX, layer.inputY,
+                               layer.inputChannels);
+            for (auto &v : input.flat())
+                v = value(rng);
+            for (const Geometry &geometry : geometries) {
+                layer.stride = geometry.stride;
+                layer.pad = geometry.pad;
+                SCOPED_TRACE("weights " + wname + ", inputs " + iname +
+                             ", stride " + std::to_string(layer.stride) +
+                             ", pad " + std::to_string(layer.pad));
+                OutputTensor expected(layer.outX(), layer.outY(),
+                                      layer.numFilters);
+                for (int f = 0; f < layer.numFilters; f++)
+                    for (int wy = 0; wy < layer.outY(); wy++)
+                        for (int wx = 0; wx < layer.outX(); wx++) {
+                            expected.at(wx, wy, f) =
+                                oracleDot(layer, input, filters[f], wx, wy);
+                            ASSERT_EQ(referenceWindowDot(layer, input,
+                                                         filters[f], wx,
+                                                         wy),
+                                      expected.at(wx, wy, f));
+                        }
+                for (int blocks : {1, 2, 3, 5}) {
+                    util::InnerExecutor exec(&pool, blocks);
+                    OutputTensor out =
+                        referenceConvolution(layer, input, filters, exec);
+                    ASSERT_TRUE(std::equal(out.flat().begin(),
+                                           out.flat().end(),
+                                           expected.flat().begin(),
+                                           expected.flat().end()))
+                        << blocks << " filter blocks";
+                }
             }
         }
     }

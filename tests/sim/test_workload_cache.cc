@@ -327,6 +327,39 @@ TEST(WorkloadCache, ChainIsBuiltOnceAndShared)
     EXPECT_NE(cache.chain(other).get(), first.get());
 }
 
+TEST(WorkloadCache, PooledChainBuildsMatchSerial)
+{
+    // Eight image chains requested at once from four grid workers, as
+    // a propagated serving batch does: each is built with its filters
+    // split over the cache's own pool, and must equal the serial
+    // build byte for byte.
+    auto net = dnn::makeTinyNetwork(dnn::LayerSelect::All);
+    dnn::ActivationSynthesizer synth(net, 0x5eed);
+    WorkloadCache serial;
+    WorkloadCache pooled(4);
+    std::vector<std::shared_ptr<const dnn::PropagatedChain>> chains(8);
+    {
+        util::ThreadPool grid(4);
+        for (size_t image = 0; image < chains.size(); image++)
+            grid.submit([&pooled, &synth, &chains, image] {
+                chains[image] =
+                    pooled.chain(synth, static_cast<int>(image));
+            });
+        grid.wait();
+    }
+    for (size_t image = 0; image < chains.size(); image++) {
+        auto expected = serial.chain(synth, static_cast<int>(image));
+        ASSERT_EQ(chains[image]->inputs.size(), expected->inputs.size());
+        for (size_t i = 0; i < expected->inputs.size(); i++) {
+            auto lhs = chains[image]->inputs[i].flat();
+            auto rhs = expected->inputs[i].flat();
+            ASSERT_TRUE(std::equal(lhs.begin(), lhs.end(), rhs.begin(),
+                                   rhs.end()))
+                << "image " << image << ", layer " << i;
+        }
+    }
+}
+
 TEST(WorkloadCache, PropagatedWorkloadsAreModeKeyed)
 {
     // The synthetic and propagated views of the same (layer, stream)
