@@ -59,9 +59,7 @@ main(int argc, char **argv)
     std::printf("%s\n", table.render().c_str());
     std::printf("%s totals: Stripes %.2fx, PRA-2b %.2fx, "
                 "PRA-2b-1R %.2fx over DaDN\n",
-                net.name.c_str(), str.speedupOver(base) > 0
-                    ? base.totalCycles() / str.totalCycles()
-                    : 0.0,
+                net.name.c_str(), base.totalCycles() / str.totalCycles(),
                 base.totalCycles() / pra.totalCycles(),
                 base.totalCycles() / col.totalCycles());
 

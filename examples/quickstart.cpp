@@ -8,6 +8,7 @@
  */
 
 #include <cstdio>
+#include <string>
 
 #include "dnn/activation_synth.h"
 #include "dnn/model_zoo.h"
@@ -16,6 +17,7 @@
 #include "models/pragmatic/pip.h"
 #include "sim/tiling.h"
 #include "util/args.h"
+#include "util/logging.h"
 
 using namespace pra;
 
@@ -27,7 +29,12 @@ main(int argc, char **argv)
     dnn::Network net =
         dnn::makeNetworkByName(args.getString("network", "alexnet"));
     int layer_idx = args.getIntAtLeast("layer", 2, 0);
-    const dnn::LayerSpec &layer = net.layers.at(layer_idx);
+    const int layers = static_cast<int>(net.layers.size());
+    if (layer_idx >= layers)
+        util::fatal("--layer=" + std::to_string(layer_idx) +
+                    " is out of range: " + net.name + " has layers 0.." +
+                    std::to_string(layers - 1));
+    const dnn::LayerSpec &layer = net.layers[layer_idx];
 
     std::printf("Quickstart: %s / %s\n", net.name.c_str(),
                 layer.name.c_str());

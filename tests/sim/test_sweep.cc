@@ -307,34 +307,6 @@ TEST(Sweep, FindResult)
     EXPECT_GT(findResult(results, "Tiny", "DaDN").totalCycles(), 0.0);
 }
 
-TEST(Sweep, DefaultConvSmokeCsvIsPinnedToSeedOutput)
-{
-    // Byte-identical pin of `pra_sweep --smoke --engines=all
-    // --threads=1` (tiny network, default conv layer selection,
-    // units=4, seed 0x5eed), captured before FC support landed. Any
-    // change to these bytes is a regression of the "default output
-    // never moves" guarantee — tests/golden/pra_sweep_smoke.csv and
-    // the CI byte-compare job pin the same contract at tool level.
-    const std::string golden =
-        "network,engine,cycles,nm_stall_cycles,effectual_terms,"
-        "sb_read_steps\n"
-        "Tiny,DaDN,3096,0,15040512,3096\n"
-        "Tiny,PRA-2b,1416.25,29.75,1674794,207\n"
-        "Tiny,PRA-2b-1R,1120.5,132.125,1674794,207\n"
-        "Tiny,Stripes,1530,0,6829056,207\n"
-        "Tiny,terms-pra-red,1265568,0,1265568,0\n";
-
-    std::vector<dnn::Network> networks = {dnn::makeTinyNetwork()};
-    SweepOptions options;
-    options.threads = 1;
-    options.sample.maxUnits = 4;
-    auto results = runSweep(networks, allKindsGrid(),
-                            models::builtinEngines(), options);
-    std::ostringstream csv;
-    writeSweepCsv(csv, results);
-    EXPECT_EQ(csv.str(), golden);
-}
-
 TEST(Sweep, PaperGridCoversHeadlineDesigns)
 {
     auto grid = models::paperEngineGrid();
