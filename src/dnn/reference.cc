@@ -19,9 +19,9 @@ constexpr int32_t kInputOffset = 32768;
 
 /**
  * The longest run of re-centred products w x (u - 32768) whose int32
- * sum cannot overflow, given the largest weight magnitude of the
- * call: each product is at most max|w| x 32768 <= 2^30 in magnitude,
- * so the run is at least one.
+ * sum cannot overflow, given the filter's largest weight magnitude:
+ * each product is at most max|w| x 32768 <= 2^30 in magnitude, so
+ * the run is at least one.
  */
 int
 exactRunLength(int max_abs_weight)
@@ -121,15 +121,11 @@ referenceConvolution(const LayerSpec &layer, const NeuronTensor &input,
     PRA_CHECK(static_cast<int>(filters.size()) ==
                              layer.numFilters,
                          "referenceConvolution: filter count mismatch");
-    int max_abs_weight = 0;
-    for (const FilterTensor &filter : filters) {
+    for (const FilterTensor &filter : filters)
         PRA_CHECK(filter.sizeX() == layer.filterX &&
                                  filter.sizeY() == layer.filterY &&
                                  filter.sizeI() == layer.inputChannels,
                              "referenceConvolution: filter shape mismatch");
-        max_abs_weight = std::max(max_abs_weight, maxAbsWeight(filter));
-    }
-    const int run = exactRunLength(max_abs_weight);
 
     OutputTensor output(layer.outX(), layer.outY(), layer.numFilters);
     int64_t *out = output.flat().data();
@@ -142,13 +138,15 @@ referenceConvolution(const LayerSpec &layer, const NeuronTensor &input,
     exec.forEachBlock(blocks, [&](int b) {
         auto [lo, hi] =
             util::InnerExecutor::blockRange(num_filters, blocks, b);
-        for (int64_t f = lo; f < hi; f++)
+        for (int64_t f = lo; f < hi; f++) {
+            const FilterTensor &filter = filters[f];
+            const int run = exactRunLength(maxAbsWeight(filter));
             for (int wy = 0; wy < out_y; wy++)
                 for (int wx = 0; wx < out_x; wx++)
                     out[(static_cast<size_t>(wy) * out_x + wx) *
                             num_filters +
-                        f] = windowDot(layer, input, filters[f], wx, wy,
-                                       run);
+                        f] = windowDot(layer, input, filter, wx, wy, run);
+        }
     });
     return output;
 }

@@ -28,7 +28,7 @@ using OutputTensor = Tensor3D<int64_t>;
  * applied: the accelerators compare pre-activation partial sums.
  *
  * Products add up in int32 over runs short enough that no partial
- * sum can overflow (set per call from the largest weight magnitude),
+ * sum can overflow (set per filter from its largest weight magnitude),
  * and each run folds into the int64 result: exact for any int16
  * filter and uint16 input.
  *
