@@ -361,8 +361,9 @@ BM_ReferenceConvolution(benchmark::State &state)
     std::copy(values.begin(), values.end(), input.flat().begin());
     std::vector<dnn::FilterTensor> filters = dnn::synthesizeFilters(layer);
     const int blocks = static_cast<int>(state.range(0));
+    // The calling thread runs blocks too, as in a chain build.
     util::ThreadPool pool(blocks - 1);
-    util::InnerExecutor exec(blocks > 1 ? &pool : nullptr, blocks);
+    util::InnerExecutor exec(&pool, blocks);
     for (auto _ : state)
         benchmark::DoNotOptimize(
             dnn::referenceConvolution(layer, input, filters, exec));

@@ -19,25 +19,19 @@ constexpr int32_t kInputOffset = 32768;
 
 /**
  * The longest run of re-centred products w x (u - 32768) whose int32
- * sum cannot overflow, given the filter's largest weight magnitude:
- * each product is at most max|w| x 32768 <= 2^30 in magnitude, so
- * the run is at least one.
+ * sum cannot overflow for @p filter: each product is at most
+ * max|w| x 32768 <= 2^30 in magnitude, so the run is at least one.
  */
 int
-exactRunLength(int max_abs_weight)
+exactRunLength(const FilterTensor &filter)
 {
+    int max_abs_weight = 0;
+    for (int16_t w : filter.flat())
+        max_abs_weight =
+            std::max(max_abs_weight, std::abs(static_cast<int>(w)));
     const int64_t bound =
         static_cast<int64_t>(max_abs_weight) * kInputOffset;
     return static_cast<int>(bound == 0 ? kInt32Max : kInt32Max / bound);
-}
-
-int
-maxAbsWeight(const FilterTensor &filter)
-{
-    int best = 0;
-    for (int16_t w : filter.flat())
-        best = std::max(best, std::abs(static_cast<int>(w)));
-    return best;
 }
 
 /**
@@ -105,7 +99,7 @@ referenceWindowDot(const LayerSpec &layer, const NeuronTensor &input,
                    const FilterTensor &filter, int window_x, int window_y)
 {
     return windowDot(layer, input, filter, window_x, window_y,
-                     exactRunLength(maxAbsWeight(filter)));
+                     exactRunLength(filter));
 }
 
 OutputTensor
@@ -140,7 +134,7 @@ referenceConvolution(const LayerSpec &layer, const NeuronTensor &input,
             util::InnerExecutor::blockRange(num_filters, blocks, b);
         for (int64_t f = lo; f < hi; f++) {
             const FilterTensor &filter = filters[f];
-            const int run = exactRunLength(maxAbsWeight(filter));
+            const int run = exactRunLength(filter);
             for (int wy = 0; wy < out_y; wy++)
                 for (int wx = 0; wx < out_x; wx++)
                     out[(static_cast<size_t>(wy) * out_x + wx) *
